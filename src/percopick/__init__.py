@@ -43,6 +43,7 @@ from .percolation import (
     TRI_OFFSETS,
     BinaryImage,
     Cluster,
+    ClusterSequence,
     bernoulli_field,
     binarize,
     black_clusters,

@@ -9,6 +9,7 @@ inside particles from clusters grown in background noise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,62 +91,88 @@ def label_black(image: BinaryImage) -> tuple[np.ndarray, int]:
     Returns (labels, count) where labels holds -1 on white pixels and cluster
     ids 0..count-1 on black ones. Ids follow discovery order of a row-major
     scan: the cluster whose first pixel appears earliest gets id 0.
+    scipy.ndimage.label already numbers components in that order (a test pins
+    it against a depth-first reference), so its labels need only the shift.
     """
     raw, count = ndimage.label(image.bits, structure=_TRI_STRUCTURE)
-    if count == 0:
-        return np.full(image.bits.shape, -1, dtype=np.int64), 0
-    flat = np.asarray(raw, dtype=np.int64).ravel()
-    black = np.flatnonzero(flat)
-    ids = flat[black]
-    uniq, first = np.unique(ids, return_index=True)
-    discovery = uniq[np.argsort(first)]
-    remap = np.full(count + 1, -1, dtype=np.int64)
-    remap[discovery] = np.arange(count)
-    return remap[flat].reshape(image.bits.shape), count
+    return np.subtract(raw, 1, dtype=np.int64), count
 
 
-def black_clusters(image: BinaryImage) -> list[Cluster]:
-    """All maximal black clusters, ordered by discovery, ids consecutive from 0."""
-    labels, count = label_black(image)
-    if count == 0:
-        return []
-    flat = labels.ravel()
-    black = np.flatnonzero(flat >= 0)
-    ids = flat[black]
-    order = np.argsort(ids, kind="stable")  # keeps row-major order inside a cluster
-    sorted_pix = black[order]
-    counts = np.bincount(ids, minlength=count)
-    width = image.width
-    clusters = []
-    start = 0
-    for cid in range(count):
-        stop = start + int(counts[cid])
-        rows, cols = np.divmod(sorted_pix[start:stop], width)
-        clusters.append(
-            Cluster(
-                id=cid,
-                pixel_count=int(counts[cid]),
-                pixels=np.column_stack((rows, cols)),
-                bbox=(int(rows.min()), int(cols.min()), int(rows.max()), int(cols.max())),
-            )
+class ClusterSequence(Sequence):
+    """All black clusters of one picture, in discovery order, built on demand.
+
+    Only the label image and the size of every cluster are computed up front.
+    A Cluster is built the first time it is read, from its bounding box, and
+    kept, so repeated reads return the same object. The boxes themselves are
+    found on the first read, so size-only callers never pay for them.
+
+    sizes is the read-only array of pixel counts indexed by cluster id.
+    """
+
+    def __init__(self, labels: np.ndarray, count: int):
+        # labels: scipy's numbering, 0 on white pixels and id + 1 on black ones
+        labels.setflags(write=False)
+        self._labels = labels
+        self._boxes = None
+        self._built: dict[int, Cluster] = {}
+        self.sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+        self.sizes.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        cid = range(len(self))[index]  # normalizes negatives, raises IndexError
+        cluster = self._built.get(cid)
+        if cluster is None:
+            cluster = self._built.setdefault(cid, self._build(cid))
+        return cluster
+
+    def _build(self, cid: int) -> Cluster:
+        if self._boxes is None:
+            self._boxes = ndimage.find_objects(self._labels, max_label=len(self))
+        rows, cols = self._boxes[cid]
+        rr, cc = np.nonzero(self._labels[rows, cols] == cid + 1)  # row-major
+        return Cluster(
+            id=cid,
+            pixel_count=int(self.sizes[cid]),
+            pixels=np.column_stack((rr + rows.start, cc + cols.start)),
+            bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1),
         )
-        start = stop
-    return clusters
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def black_clusters(image: BinaryImage) -> ClusterSequence:
+    """All maximal black clusters, ordered by discovery, ids consecutive from 0.
+
+    One labelling pass and one size count; a cluster is built only when read.
+    """
+    labels, count = label_black(image)
+    labels += 1  # back to scipy's numbering, which bincount and find_objects take
+    return ClusterSequence(labels, count)
 
 
 def cluster_sizes(image: BinaryImage) -> np.ndarray:
-    """Pixel counts of all black clusters in discovery order (fast path)."""
-    labels, count = label_black(image)
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    flat = labels.ravel()
-    return np.bincount(flat[flat >= 0], minlength=count)
+    """Pixel counts of all black clusters in discovery order; builds no cluster."""
+    return black_clusters(image).sizes
 
 
-def filter_clusters(clusters: list[Cluster], min_pixels: int) -> list[Cluster]:
-    """Keep clusters with at least min_pixels pixels, preserving order and ids."""
+def filter_clusters(clusters: Sequence[Cluster], min_pixels: int) -> list[Cluster]:
+    """Keep clusters with at least min_pixels pixels, preserving order and ids.
+
+    From a ClusterSequence the survivors are picked by size and only they are
+    built.
+    """
     if min_pixels < 1:
         raise ValueError(f"min_pixels must be >= 1, got {min_pixels}")
+    if isinstance(clusters, ClusterSequence):
+        return [clusters[cid] for cid in np.flatnonzero(clusters.sizes >= min_pixels)]
     return [c for c in clusters if c.pixel_count >= min_pixels]
 
 

@@ -1,0 +1,87 @@
+"""Golden-bytes regression: detect outputs and Monte Carlo CSVs are pinned.
+
+The expected hashes and CSV text were recorded before the cluster extraction
+was rewritten to label once and build only the kept clusters. Any change to
+the report, the binary or filtered PGMs, or the Monte Carlo statistics fails
+here, at image sizes well beyond the small oracle images of the unit tests.
+"""
+
+import hashlib
+
+import pytest
+
+from percopick import (
+    DetectParams,
+    Micrograph,
+    SceneSpec,
+    UniformNoise,
+    disc_mask,
+    generate_scene,
+    mc_detection,
+    place_shape,
+    shape_library,
+    write_image,
+)
+from percopick.cli import main
+
+# sha256 of the three files `percopick detect` writes for the scene below
+GOLDEN_DETECT = {
+    "report.json": "77ebcd0b5a200e577693b2ac1bf1b4ddecd8bb7b770032aea144d9a2dedfa1d5",
+    "binary.pgm": "b9dbe0097c2e7af7baa66c296f7e900dbd0f9193eab351bc98928ee2d9c8063b",
+    "kept.pgm": "e0babd99d772b972bac6d253fc39722452b60327caa64bd3e3cfc6d564cbb28e",
+}
+
+GOLDEN_MC_CSV = (
+    "trials,n_particles,all_detected_fraction,any_false_fraction,mean_false_clusters\n"
+    "4,5,1,1,6\n"
+)
+
+
+def _disc_scene_pgm(path, n=1200, seed=2024):
+    """A seeded two-level disc scene written as a 16-bit P5.
+
+    Discs of radius 40 sit at the centres of alternate 150-pixel tiles; the
+    top-left 300x300 block stays particle-free, so after the two default
+    downsampling passes it holds the 65-pixel background window.
+    """
+    a, b, half_width = 0.3, 0.45, 0.4
+    disc = disc_mask(40)
+    centres = [(i * 150 + 75, j * 150 + 75)
+               for i in range(n // 150) for j in range(n // 150)
+               if (i + j) % 2 == 0 and not (i < 2 and j < 2)]
+    masks = tuple(place_shape(n, disc, r - 40, c - 40) for r, c in centres)
+    spec = SceneSpec(n=n, a=a, b=b, particles=masks, noise_square=(0, 0),
+                     noise_square_side=300, min_particle_square=36)
+    img, _ = generate_scene(spec, UniformNoise(half_width), seed)
+    scaled = (img.pixels - (a - half_width)) * (65535.0 / (b - a + 2 * half_width))
+    write_image(Micrograph(scaled), path, format="pgm", maxval=65535)
+
+
+def test_detect_outputs_match_golden_hashes(tmp_path, capsys):
+    inp = tmp_path / "scene.pgm"
+    _disc_scene_pgm(inp)
+    outs = {name: tmp_path / name for name in GOLDEN_DETECT}
+    code = main(["detect", "--in", str(inp), "--out", str(outs["report.json"]),
+                 "--binary-out", str(outs["binary.pgm"]),
+                 "--filtered-out", str(outs["kept.pgm"])])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("decision ParticlesFound ")
+    got = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in outs.items()}
+    assert got == GOLDEN_DETECT
+
+
+def _criterion6_scene(n=256):
+    shapes = [("l_shape", 24, 8, 80), ("l_shape", 24, 8, 150), ("l_shape", 24, 160, 60),
+              ("annulus_gap", 24, 80, 8), ("annulus_gap", 24, 80, 120)]
+    masks = tuple(place_shape(n, shape_library(k, s), r, c) for k, s, r, c in shapes)
+    return SceneSpec(n=n, a=0.4, b=0.6, particles=masks, noise_square=(0, 0),
+                     noise_square_side=64, min_particle_square=12)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mc_detection_csv_matches_golden(jobs):
+    params = DetectParams(phi0=64, phi1=12, min_cluster_pixels=30,
+                          downsample_passes=0, normalize=False)
+    stats = mc_detection(_criterion6_scene(), UniformNoise(0.25), params,
+                         trials=4, seed=[31, 6], jobs=jobs)
+    assert stats.to_csv() == GOLDEN_MC_CSV

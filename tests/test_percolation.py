@@ -152,6 +152,16 @@ class TestBlackClusters:
                 assert (r, col) not in seen
                 seen.add((r, col))
 
+    @pytest.mark.parametrize("p", [0.4, 0.5, 0.6])
+    def test_scipy_labels_in_discovery_order_at_scale(self, p):
+        # label_black relies on scipy numbering components by first raster
+        # appearance; a scipy release that changes this must fail here.
+        bits = np.random.default_rng([500, int(p * 10)]).random((128, 160)) < p
+        labels, count = label_black(BinaryImage(bits))
+        ref_labels, ref_count = dfs_labels(bits)
+        assert count == ref_count
+        assert np.array_equal(labels, ref_labels)
+
     def test_cluster_maximality(self):
         rng = np.random.default_rng(13)
         bits = rng.random((15, 15)) < 0.5
@@ -187,6 +197,32 @@ class TestFilterClusters:
         bits = np.random.default_rng(2).random((10, 10)) < 0.5
         clusters = black_clusters(BinaryImage(bits))
         assert filter_clusters(clusters, 1) == clusters
+
+    @pytest.mark.parametrize("min_pixels", [1, 2, 30])
+    @pytest.mark.parametrize("seed, p", [(0, 0.45), (1, 0.5), (2, 0.55)])
+    def test_matches_brute_force_from_dfs(self, seed, p, min_pixels):
+        bits = np.random.default_rng([600, seed]).random((70, 90)) < p
+        ref_labels, ref_count = dfs_labels(bits)
+        expected = []
+        for cid in range(ref_count):
+            pixels = np.argwhere(ref_labels == cid)  # row-major
+            if len(pixels) >= min_pixels:
+                (r0, c0), (r1, c1) = pixels.min(axis=0), pixels.max(axis=0)
+                expected.append((cid, len(pixels), (r0, c0, r1, c1), pixels.tolist()))
+        clusters = black_clusters(BinaryImage(bits))
+        assert len(clusters) == ref_count
+        assert cluster_sizes(BinaryImage(bits)).tolist() == np.bincount(
+            ref_labels[ref_labels >= 0], minlength=ref_count).tolist()
+        kept = filter_clusters(clusters, min_pixels)
+        assert [(c.id, c.pixel_count, c.bbox, c.pixels.tolist()) for c in kept] == expected
+
+    def test_built_clusters_are_memoized(self):
+        bits = np.random.default_rng(3).random((20, 20)) < 0.5
+        clusters = black_clusters(BinaryImage(bits))
+        assert clusters[-1] is clusters[len(clusters) - 1]
+        assert clusters[1:3] == [clusters[1], clusters[2]]
+        with pytest.raises(IndexError):
+            clusters[len(clusters)]
 
     def test_empty_input(self):
         assert filter_clusters([], 30) == []
