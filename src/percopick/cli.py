@@ -22,6 +22,7 @@ from .detect import (
     DegenerateEstimatesError,
     DetectParams,
     compute_threshold,
+    fmt6,
     preprocess,
     report_to_json,
     run_detection_artifacts,
@@ -53,10 +54,6 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliError(message)
-
-
-def _fmt6(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _int_list(text: str) -> list[int]:
@@ -115,10 +112,10 @@ def _cmd_estimate(args) -> int:
     params = _params_from_args(args)
     pre = preprocess(img, params)
     est = estimate_intensities(pre, params.phi0, params.phi1)
-    print(f"a_hat {_fmt6(est.a_hat)}")
-    print(f"b_hat {_fmt6(est.b_hat)}")
+    print(f"a_hat {fmt6(est.a_hat)}")
+    print(f"b_hat {fmt6(est.b_hat)}")
     theta = compute_threshold(est.a_hat, est.b_hat)
-    print(f"theta {_fmt6(theta)}")
+    print(f"theta {fmt6(theta)}")
     return 0
 
 
@@ -126,11 +123,8 @@ def _cmd_detect(args) -> int:
     img = read_image(args.input, args.format)
     artifacts = run_detection_artifacts(img, _params_from_args(args))
     report = artifacts.report
-    doc = report_to_json(report)
-    if args.output is None:
-        sys.stdout.write(doc)
-    else:
-        atomic_write_bytes(args.output, doc.encode("utf-8"))
+    _write_text(args.output, report_to_json(report))
+    if args.output is not None:
         print(
             f"decision {report.decision.value} clusters_kept {len(report.clusters_kept)} "
             f"clusters_total {report.clusters_total}"
@@ -187,8 +181,8 @@ def _cmd_bound(args) -> int:
     result = window_selection_bound(
         args.s1, args.excess, b_minus_a=args.contrast, sigma=args.sigma, bound_m=args.bound_m
     )
-    print(f"raw_sum {_fmt6(result.raw_sum)}")
-    print(f"clipped {_fmt6(result.clipped)}")
+    print(f"raw_sum {fmt6(result.raw_sum)}")
+    print(f"clipped {fmt6(result.clipped)}")
     return 0
 
 

@@ -185,17 +185,17 @@ def match_detections(report: DetectionReport, truth_masks) -> MatchSummary:
     return match_clusters(report.clusters_kept, report.image_dims, truth_masks)
 
 
-def _sig6(x: float) -> float:
-    """Round to 6 significant digits for stable report formatting."""
-    return float(f"{x:.6g}")
+def fmt6(x: float) -> str:
+    """6 significant digits: the one float format of reports, CSVs and printouts."""
+    return f"{x:.6g}"
 
 
 def report_to_dict(report: DetectionReport) -> dict:
     p = report.params
     return {
-        "a_hat": _sig6(report.estimates.a_hat),
-        "b_hat": _sig6(report.estimates.b_hat),
-        "theta": _sig6(report.theta),
+        "a_hat": float(fmt6(report.estimates.a_hat)),
+        "b_hat": float(fmt6(report.estimates.b_hat)),
+        "theta": float(fmt6(report.theta)),
         "clusters": [
             {"id": c.id, "pixel_count": c.pixel_count, "bbox": list(c.bbox)}
             for c in report.clusters_kept

@@ -19,7 +19,10 @@ class Micrograph:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.array(self.pixels, dtype=np.float64, copy=True, order="C")
+        px = self.pixels  # a read-only float64 array owning its data is kept, not copied
+        if not (type(px) is np.ndarray and px.dtype == np.float64 and px.flags.c_contiguous
+                and px.flags.owndata and not px.flags.writeable):
+            px = np.array(px, dtype=np.float64, copy=True, order="C")
         if px.ndim != 2:
             raise ValueError(f"pixels must be a 2D grid, got {px.ndim} dimension(s)")
         if px.shape[0] < 1 or px.shape[1] < 1:
@@ -36,6 +39,12 @@ class Micrograph:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
+
+
+def _adopt(px: np.ndarray) -> Micrograph:
+    """Wrap a float64 array just computed and held by no one else, without a copy."""
+    px.setflags(write=False)
+    return Micrograph(px)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +74,9 @@ class WindowStats:
 def build_integral(img: Micrograph) -> IntegralImage:
     """Build the cumulative-sum table of an image in one linear sweep."""
     table = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
-    table[1:, 1:] = np.cumsum(np.cumsum(img.pixels, axis=0), axis=1)
+    inner = table[1:, 1:]  # both running sums go straight into the table, no temporaries
+    np.cumsum(img.pixels, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
     table.setflags(write=False)
     return IntegralImage(width=img.width, height=img.height, table=table)
 
@@ -79,13 +90,15 @@ def window_sum(ii: IntegralImage, row: int, col: int, side: int) -> float:
             f"window (row={row}, col={col}, side={side}) not inside "
             f"a {ii.width}x{ii.height} image"
         )
-    t = ii.table
-    return float(
-        t[row + side, col + side]
-        - t[row, col + side]
-        - t[row + side, col]
-        + t[row, col]
-    )
+    corners = ii.table[row : row + side + 1 : side, col : col + side + 1 : side]
+    return float(window_sums(corners, 1)[0, 0])
+
+
+def window_sums(table: np.ndarray, side: int) -> np.ndarray:
+    """Sums of every side x side window of a cumulative-sum table, indexed by
+    top-left corner: the one four-corner formula of the package."""
+    t = table
+    return t[side:, side:] - t[:-side, side:] - t[side:, :-side] + t[:-side, :-side]
 
 
 def downsample2x(img: Micrograph) -> Micrograph:
@@ -99,7 +112,7 @@ def downsample2x(img: Micrograph) -> Micrograph:
         )
     h2, w2 = img.height // 2, img.width // 2
     blocks = img.pixels[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2)
-    return Micrograph(blocks.mean(axis=(1, 3)))
+    return _adopt(blocks.mean(axis=(1, 3)))
 
 
 def normalize_max1(img: Micrograph) -> Micrograph:
@@ -107,4 +120,4 @@ def normalize_max1(img: Micrograph) -> Micrograph:
     peak = float(img.pixels.max())
     if peak <= 0.0:
         raise ValueError(f"maximum pixel value must be positive, got {peak}")
-    return Micrograph(img.pixels / peak)
+    return _adopt(img.pixels / peak)

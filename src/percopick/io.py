@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import Micrograph
+from .image import Micrograph, _adopt
 from .percolation import BinaryImage
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
@@ -34,10 +34,6 @@ class ImageParseError(ValueError):
         self.line = line
 
 
-def _line_of(data: bytes, offset: int) -> int:
-    return data.count(b"\n", 0, offset) + 1
-
-
 class _PgmScanner:
     """Token scanner over a PGM header/body, tracking byte offsets."""
 
@@ -45,11 +41,15 @@ class _PgmScanner:
         self.data = data
         self.pos = 0
 
+    def error(self, message: str, offset: int) -> ImageParseError:
+        """A parse error at a byte offset, located by line as well."""
+        return ImageParseError(message, offset=offset, line=self.data.count(b"\n", 0, offset) + 1)
+
     def skip_separators(self):
         d, n = self.data, len(self.data)
         while self.pos < n:
             c = d[self.pos : self.pos + 1]
-            if c in (b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"):
+            if c in _WHITESPACE:
                 self.pos += 1
             elif c == b"#":
                 nl = d.find(b"\n", self.pos)
@@ -60,16 +60,10 @@ class _PgmScanner:
     def next_token(self, what: str) -> tuple[bytes, int]:
         self.skip_separators()
         if self.pos >= len(self.data):
-            raise ImageParseError(
-                f"unexpected end of file while reading {what}",
-                offset=self.pos,
-                line=_line_of(self.data, self.pos),
-            )
+            raise self.error(f"unexpected end of file while reading {what}", self.pos)
         start = self.pos
         d, n = self.data, len(self.data)
-        while self.pos < n and d[self.pos : self.pos + 1] not in (
-            b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#",
-        ):
+        while self.pos < n and d[self.pos : self.pos + 1] not in _WHITESPACE + b"#":
             self.pos += 1
         return d[start : self.pos], start
 
@@ -78,17 +72,9 @@ class _PgmScanner:
         try:
             value = int(tok)
         except ValueError:
-            raise ImageParseError(
-                f"non-numeric token {tok!r} for {what}",
-                offset=start,
-                line=_line_of(self.data, start),
-            ) from None
+            raise self.error(f"non-numeric token {tok!r} for {what}", start) from None
         if not low <= value <= high:
-            raise ImageParseError(
-                f"{what} {value} outside allowed range {low}..{high}",
-                offset=start,
-                line=_line_of(self.data, start),
-            )
+            raise self.error(f"{what} {value} outside allowed range {low}..{high}", start)
         return value
 
 
@@ -96,11 +82,7 @@ def _read_pgm(data: bytes) -> Micrograph:
     sc = _PgmScanner(data)
     magic, start = sc.next_token("magic number")
     if magic not in (b"P2", b"P5"):
-        raise ImageParseError(
-            f"unsupported magic {magic!r}, expected P2 or P5",
-            offset=start,
-            line=_line_of(data, start),
-        )
+        raise sc.error(f"unsupported magic {magic!r}, expected P2 or P5", start)
     width = sc.next_int("width", 1, 10**9)
     height = sc.next_int("height", 1, 10**9)
     maxval = sc.next_int("maxval", 1, 65535)
@@ -113,18 +95,14 @@ def _read_pgm(data: bytes) -> Micrograph:
             raise ImageParseError(
                 f"expected {count} pixel values, found {len(tokens)}",
                 offset=len(data),
-                line=_line_of(data, len(data) - 1) if data else 1,
+                line=data.count(b"\n", 0, len(data) - 1) + 1,  # line of the last byte
             )
         if len(tokens) > count:
             # locate the first extra token for the diagnostic
             for _ in range(count):
                 sc.next_token("pixel value")
             _, extra = sc.next_token("pixel value")
-            raise ImageParseError(
-                "trailing data after pixel values",
-                offset=extra,
-                line=_line_of(data, extra),
-            )
+            raise sc.error("trailing data after pixel values", extra)
         try:
             values = np.array(tokens, dtype=np.int64)
         except ValueError:
@@ -137,22 +115,13 @@ def _read_pgm(data: bytes) -> Micrograph:
             for _ in range(bad):
                 sc.next_token("pixel value")
             tok, off = sc.next_token("pixel value")
-            raise ImageParseError(
-                f"pixel value {tok.decode('ascii', 'replace')} outside 0..{maxval}",
-                offset=off,
-                line=_line_of(data, off),
-            )
-        return Micrograph(values.astype(np.float64).reshape(height, width))
+            value = tok.decode("ascii", "replace")
+            raise sc.error(f"pixel value {value} outside 0..{maxval}", off)
+        return _adopt(values.reshape(height, width).astype(np.float64))
 
     # P5: exactly one separator byte between maxval and the payload
-    if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in (
-        b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c",
-    ):
-        raise ImageParseError(
-            "missing whitespace after maxval in P5 header",
-            offset=sc.pos,
-            line=_line_of(data, sc.pos),
-        )
+    if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WHITESPACE:
+        raise sc.error("missing whitespace after maxval in P5 header", sc.pos)
     payload = data[sc.pos + 1 :]
     two_byte = maxval > 255
     needed = count * (2 if two_byte else 1)
@@ -167,14 +136,14 @@ def _read_pgm(data: bytes) -> Micrograph:
             offset=sc.pos + 1 + needed,
         )
     dtype = np.dtype(">u2") if two_byte else np.uint8
-    values = np.frombuffer(payload, dtype=dtype).astype(np.int64)
+    values = np.frombuffer(payload, dtype=dtype)
     if values.max(initial=0) > maxval:
         bad = int(np.argmax(values > maxval))
         raise ImageParseError(
             f"pixel value {int(values[bad])} exceeds maxval {maxval}",
             offset=sc.pos + 1 + bad * (2 if two_byte else 1),
         )
-    return Micrograph(values.astype(np.float64).reshape(height, width))
+    return _adopt(values.reshape(height, width).astype(np.float64))
 
 
 def _read_csv(data: bytes) -> Micrograph:
@@ -210,7 +179,7 @@ def _read_csv(data: bytes) -> Micrograph:
         rows.append(row)
     if not rows:
         raise ImageParseError("empty file", line=1)
-    return Micrograph(np.array(rows, dtype=np.float64))
+    return _adopt(np.array(rows, dtype=np.float64))
 
 
 def _resolve_format(path: str | Path, format: str | None) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import Micrograph, WindowStats, build_integral
+from .image import Micrograph, WindowStats, build_integral, window_sums
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,9 @@ def _check_side(img: Micrograph, side: int) -> None:
         )
 
 
-def _window_sum_grid(img: Micrograph, side: int) -> np.ndarray:
-    """Sums of every side x side window, indexed by top-left corner."""
-    t = build_integral(img).table
-    return t[side:, side:] - t[:-side, side:] - t[side:, :-side] + t[:-side, :-side]
-
-
 def _extremal_window(img: Micrograph, side: int, take_max: bool) -> WindowStats:
     _check_side(img, side)
-    sums = _window_sum_grid(img, side)
+    sums = window_sums(build_integral(img).table, side)
     # np.argmin/argmax return the first extremum in row-major order, which is
     # exactly the lexicographic (row, col) tie-break.
     flat = int(np.argmax(sums) if take_max else np.argmin(sums))

@@ -22,12 +22,13 @@ import numpy as np
 
 from .detect import (
     DetectParams,
+    fmt6,
     match_clusters,
     match_detections,
     preprocess,
     run_detection_artifacts,
 )
-from .image import Micrograph
+from .image import Micrograph, _adopt, build_integral, window_sums
 from .percolation import binarize, black_clusters, bernoulli_field, cluster_sizes, filter_clusters
 from .scan import estimate_lower, naive_mean
 
@@ -189,16 +190,18 @@ def place_shape(n: int, shape: np.ndarray, row: int, col: int) -> np.ndarray:
     return frame
 
 
+def _mask_counts(mask: np.ndarray, side: int) -> np.ndarray:
+    """Mask pixels in every side x side window, by top-left corner (exact in float64)."""
+    ones = _adopt(np.asarray(mask, dtype=bool).astype(np.float64))
+    return window_sums(build_integral(ones).table, side)
+
+
 def mask_contains_square(mask: np.ndarray, side: int) -> bool:
     """True if some side x side window lies entirely inside the mask."""
-    mask = np.asarray(mask, dtype=np.int64)
-    h, w = mask.shape
+    h, w = np.shape(mask)
     if side < 1 or side > h or side > w:
         return False
-    t = np.zeros((h + 1, w + 1), dtype=np.int64)
-    t[1:, 1:] = np.cumsum(np.cumsum(mask, axis=0), axis=1)
-    sums = t[side:, side:] - t[:-side, side:] - t[side:, :-side] + t[:-side, :-side]
-    return bool((sums == side * side).any())
+    return bool((_mask_counts(mask, side) == side * side).any())
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +281,44 @@ def generate_scene(
     Returns the noisy micrograph and the ground-truth particle masks.
     """
     rng = np.random.default_rng(seed)
-    pixels = spec.truth_image + noise.sample(rng, (spec.n, spec.n))
-    return Micrograph(pixels), spec.particles
+    return _adopt(spec.truth_image + noise.sample(rng, (spec.n, spec.n))), spec.particles
 
 
 def find_clear_square(n: int, particles, side: int) -> tuple[int, int]:
     """First (row-major) top-left corner of a side x side square that avoids
     every particle mask; raises if none exists."""
-    union = np.zeros((n, n), dtype=np.int64)
+    if not 1 <= side <= n:
+        raise ValueError(f"square side {side} outside 1..{n}, the frame side")
+    union = np.zeros((n, n), dtype=bool)
     for m in particles:
-        union += np.asarray(m, dtype=bool)
-    if side > n:
-        raise ValueError(f"square side {side} exceeds frame side {n}")
-    t = np.zeros((n + 1, n + 1), dtype=np.int64)
-    t[1:, 1:] = np.cumsum(np.cumsum(union, axis=0), axis=1)
-    sums = t[side:, side:] - t[:-side, side:] - t[side:, :-side] + t[:-side, :-side]
-    clear = np.argwhere(sums == 0)
+        union |= np.asarray(m, dtype=bool)
+    clear = np.argwhere(_mask_counts(union, side) == 0)
     if clear.size == 0:
         raise ValueError(f"no noise-only square of side {side} fits between the particles")
     return int(clear[0, 0]), int(clear[0, 1])
 
 
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _field(doc: dict, key: str, convert=float):
+    """convert(doc[key]); a value of the wrong type is a ValueError naming the field."""
+    try:
+        return convert(doc[key])
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"scene field {key!r} is malformed: {exc}") from None
+
+
 def noise_from_dict(doc: dict) -> NoiseModel:
-    kind = doc.get("kind")
+    kind = _object(doc, "noise").get("kind")
     if kind == "uniform":
-        return UniformNoise(half_width=float(doc["half_width"]))
+        return UniformNoise(half_width=_field(doc, "half_width"))
     if kind == "truncated_gaussian":
-        return TruncatedGaussianNoise(sigma_raw=float(doc["sigma_raw"]), bound=float(doc["bound"]))
+        sigma_raw, bound = _field(doc, "sigma_raw"), _field(doc, "bound")
+        return TruncatedGaussianNoise(sigma_raw=sigma_raw, bound=bound)
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
@@ -315,24 +329,25 @@ def scene_from_dict(doc: dict) -> tuple[SceneSpec, NoiseModel]:
     noise: {kind, ...}; optional noise_square: [row, col] (auto-placed at the
     first clear spot when omitted).
     """
-    n = int(doc["n"])
+    n = _field(_object(doc, "scene document"), "n", int)
     masks = []
-    for i, sh in enumerate(doc.get("shapes", [])):
-        mask = shape_library(str(sh["kind"]), int(sh["size"]))
-        masks.append(place_shape(n, mask, int(sh["row"]), int(sh["col"])))
-    phi0 = int(doc["phi0"])
+    for i, sh in enumerate(_field(doc, "shapes", list) if "shapes" in doc else []):
+        sh = _object(sh, f"shapes[{i}]")
+        mask = shape_library(str(sh["kind"]), _field(sh, "size", int))
+        masks.append(place_shape(n, mask, _field(sh, "row", int), _field(sh, "col", int)))
+    phi0 = _field(doc, "phi0", int)
     if "noise_square" in doc:
-        r0, c0 = (int(v) for v in doc["noise_square"])
+        r0, c0 = _field(doc, "noise_square", lambda corner: [int(v) for v in corner])
     else:
         r0, c0 = find_clear_square(n, masks, phi0)
     spec = SceneSpec(
         n=n,
-        a=float(doc["a"]),
-        b=float(doc["b"]),
+        a=_field(doc, "a"),
+        b=_field(doc, "b"),
         particles=tuple(masks),
         noise_square=(r0, c0),
         noise_square_side=phi0,
-        min_particle_square=int(doc["phi1"]),
+        min_particle_square=_field(doc, "phi1", int),
     )
     return spec, noise_from_dict(doc["noise"])
 
@@ -396,10 +411,6 @@ def window_selection_bound(
 # Monte Carlo harnesses
 # ---------------------------------------------------------------------------
 
-def _fmt6(x: float) -> str:
-    return f"{x:.6g}"
-
-
 @dataclass(frozen=True)
 class ConsistencyRow:
     phi0: int
@@ -418,9 +429,9 @@ class ConsistencyTable:
         lines = ["phi0,trials,median_abs_err,q25_abs_err,q75_abs_err,naive_median_abs_err"]
         for r in self.rows:
             lines.append(
-                f"{r.phi0},{self.trials},{_fmt6(r.median_abs_err)},"
-                f"{_fmt6(r.q25_abs_err)},{_fmt6(r.q75_abs_err)},"
-                f"{_fmt6(self.naive_median_abs_err)}"
+                f"{r.phi0},{self.trials},{fmt6(r.median_abs_err)},"
+                f"{fmt6(r.q25_abs_err)},{fmt6(r.q75_abs_err)},"
+                f"{fmt6(self.naive_median_abs_err)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -491,8 +502,8 @@ class DetectionStats:
             "any_false_fraction,mean_false_clusters"
         )
         row = (
-            f"{self.trials},{self.n_particles},{_fmt6(self.all_detected_fraction)},"
-            f"{_fmt6(self.any_false_fraction)},{_fmt6(self.mean_false_clusters)}"
+            f"{self.trials},{self.n_particles},{fmt6(self.all_detected_fraction)},"
+            f"{fmt6(self.any_false_fraction)},{fmt6(self.mean_false_clusters)}"
         )
         return header + "\n" + row + "\n"
 
@@ -567,8 +578,8 @@ class PhaseTable:
         lines = ["p,trial,largest_cluster,largest_fraction,n_clusters"]
         for r in self.rows:
             lines.append(
-                f"{_fmt6(r.p)},{r.trial},{r.largest_cluster},"
-                f"{_fmt6(r.largest_fraction)},{r.n_clusters}"
+                f"{fmt6(r.p)},{r.trial},{r.largest_cluster},"
+                f"{fmt6(r.largest_fraction)},{r.n_clusters}"
             )
         return "\n".join(lines) + "\n"
 

@@ -113,6 +113,34 @@ def test_malformed_image_exits_1(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+SCENE_DOC = {
+    "n": 64, "a": 0.3, "b": 0.7, "phi0": 16, "phi1": 8,
+    "shapes": [{"kind": "square", "size": 10, "row": 40, "col": 40}],
+    "noise": {"kind": "uniform", "half_width": 0.1},
+}
+
+
+@pytest.mark.parametrize("doc,named", [
+    ([1, 2], "scene document"),
+    (dict(SCENE_DOC, shapes=5), "'shapes'"),
+    (dict(SCENE_DOC, shapes=[7]), "shapes[0]"),
+    (dict(SCENE_DOC, noise="uniform"), "noise"),
+    (dict(SCENE_DOC, noise_square=3), "'noise_square'"),
+    (dict(SCENE_DOC, noise={"kind": "uniform", "half_width": None}), "'half_width'"),
+    (dict(SCENE_DOC, phi0=0), "square side 0 outside 1..64"),
+], ids=["top_level_list", "shapes_int", "shape_int", "noise_str", "noise_square_int",
+        "half_width_null", "phi0_zero"])
+def test_malformed_scene_exits_1_with_one_line(doc, named, tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    code = main(["synth", "--scene", str(scene), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("percopick: error:") and named in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_1(capsys):
     code = main(["detect", "--in", "x.pgm", "--frobnicate"])
     assert code == 1

@@ -10,6 +10,7 @@ from percopick import (
     normalize_max1,
     window_sum,
 )
+from percopick.image import window_sums
 
 
 def brute_partial_sum(pixels, r, c):
@@ -53,6 +54,19 @@ class TestMicrograph:
         img = Micrograph(src)
         src[0, 0] = 99.0
         assert img.pixels[0, 0] == 1.0
+
+    def test_read_only_view_of_writeable_array_is_copied(self):
+        src = np.ones((2, 2))
+        view = src.view()
+        view.setflags(write=False)
+        img = Micrograph(view)
+        src[0, 0] = 99.0
+        assert img.pixels[0, 0] == 1.0
+
+    def test_own_read_only_pixels_are_shared(self):
+        m = Micrograph(np.ones((2, 2)))
+        assert Micrograph(m.pixels).pixels is m.pixels
+        assert downsample2x(m).pixels.base is None  # a fresh array, adopted as is
 
 
 class TestIntegralImage:
@@ -103,6 +117,18 @@ class TestWindowSum:
         pixels = rng.random((7, 11))
         ii = build_integral(Micrograph(pixels))
         assert window_sum(ii, 0, 0, 7) == pytest.approx(float(pixels[:, :7].sum()), abs=1e-9)
+
+    def test_window_sums_match_brute_force_for_every_side(self):
+        rng = np.random.default_rng(711)
+        pixels = rng.random((7, 11))
+        table = build_integral(Micrograph(pixels)).table
+        for side in range(1, 8):
+            sums = window_sums(table, side)
+            assert sums.shape == (8 - side, 12 - side)
+            for r in range(8 - side):
+                for c in range(12 - side):
+                    direct = float(pixels[r : r + side, c : c + side].sum())
+                    assert sums[r, c] == pytest.approx(direct, abs=1e-9)
 
     @pytest.mark.parametrize(
         "row,col,side", [(-1, 0, 2), (0, -1, 2), (3, 0, 2), (0, 3, 2), (0, 0, 5), (0, 0, 0)]

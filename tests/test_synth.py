@@ -117,6 +117,14 @@ class TestShapes:
                         count += 1
             assert mask.sum() == count
 
+    def test_contains_square_on_non_square_mask(self):
+        mask = np.zeros((5, 40), dtype=bool)
+        mask[:, 12:17] = True
+        assert mask_contains_square(mask, 5)
+        assert not mask_contains_square(mask, 6)
+        assert mask_contains_square(mask.T, 5)
+        assert not mask_contains_square(mask.T, 6)
+
     def test_annulus_gap_nonconvex_and_holds_square(self):
         mask = annulus_gap_mask(24, 8, 4)
         assert not mask[24, 24]            # center hollow
@@ -287,6 +295,11 @@ class TestFindClearSquare:
 
     def test_no_particles_gives_origin(self):
         assert find_clear_square(32, [], 8) == (0, 0)
+
+    @pytest.mark.parametrize("side", [0, -3, 33])
+    def test_side_outside_frame_rejected(self, side):
+        with pytest.raises(ValueError, match=r"square side -?\d+ outside 1\.\.32"):
+            find_clear_square(32, [], side)
 
 
 class TestWindowSelectionBound:
