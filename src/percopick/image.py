@@ -1,13 +1,18 @@
 """Pixel-grid primitives: micrographs, integral images, window sums.
 
-All pixel data is 64-bit float. Types are immutable after construction and
-every operation returns a fresh object, so everything here is safe to share
-across threads.
+All pixel data is 64-bit float. Pixel arrays are read-only and every
+operation returns a fresh image. The one thing an image gains after
+construction is its integral table, built on first use of
+`Micrograph.integral` and then kept, read-only, for every later scan of the
+same image. The table is a pure function of the pixels, so sharing an image
+across threads stays safe: a race on the first use at worst builds an equal
+table twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +44,11 @@ class Micrograph:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
+
+    @cached_property
+    def integral(self) -> IntegralImage:
+        """The cumulative-sum table of the pixels, built once per image."""
+        return _build_integral(self)
 
 
 def _adopt(px: np.ndarray) -> Micrograph:
@@ -72,6 +82,11 @@ class WindowStats:
 
 
 def build_integral(img: Micrograph) -> IntegralImage:
+    """The cumulative-sum table of an image: built on the first call, then shared."""
+    return img.integral
+
+
+def _build_integral(img: Micrograph) -> IntegralImage:
     """Build the cumulative-sum table of an image in one linear sweep."""
     table = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
     inner = table[1:, 1:]  # both running sums go straight into the table, no temporaries
@@ -101,6 +116,9 @@ def window_sums(table: np.ndarray, side: int) -> np.ndarray:
     return t[side:, side:] - t[:-side, side:] - t[side:, :-side] + t[:-side, :-side]
 
 
+_STRIP_ROWS = 128  # output rows per strip in downsample2x
+
+
 def downsample2x(img: Micrograph) -> Micrograph:
     """Halve both dimensions by averaging 2x2 blocks.
 
@@ -111,8 +129,20 @@ def downsample2x(img: Micrograph) -> Micrograph:
             f"need at least a 2x2 image to downsample, got {img.width}x{img.height}"
         )
     h2, w2 = img.height // 2, img.width // 2
-    blocks = img.pixels[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2)
-    return _adopt(blocks.mean(axis=(1, 3)))
+    px = img.pixels[: 2 * h2, : 2 * w2]
+    if w2 == 1:  # one block wide: numpy's mean adds the four pixels in plain sequence
+        return _adopt(px.reshape(h2, 2, 1, 2).mean(axis=(1, 3)))
+    # Wider frames: reshape(h2, 2, w2, 2).mean(axis=(1, 3)) adds
+    # (top-left + top-right) + (bottom-left + bottom-right), then divides by 4;
+    # keeping that order keeps every block mean bit-identical to it. The bottom
+    # pair goes in by row strips, so no second frame-size temporary exists.
+    top, bottom = px[0::2], px[1::2]
+    out = top[:, 0::2] + top[:, 1::2]
+    for r in range(0, h2, _STRIP_ROWS):
+        strip = bottom[r : r + _STRIP_ROWS]
+        out[r : r + _STRIP_ROWS] += strip[:, 0::2] + strip[:, 1::2]
+    out /= 4
+    return _adopt(out)
 
 
 def normalize_max1(img: Micrograph) -> Micrograph:

@@ -223,6 +223,10 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
+def _pgm_header(binary: bool, width: int, height: int, maxval: int) -> bytes:
+    return f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode("ascii")
+
+
 def _encode_pgm(img: Micrograph, maxval: int, binary: bool) -> bytes:
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval must be in 1..65535, got {maxval}")
@@ -232,12 +236,12 @@ def _encode_pgm(img: Micrograph, maxval: int, binary: bool) -> bytes:
             f"pixel values round to {quantized.min()}..{quantized.max()}, "
             f"outside the declared range 0..{maxval}"
         )
-    header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n{maxval}\n"
+    header = _pgm_header(binary, img.width, img.height, maxval)
     if binary:
         dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-        return header.encode("ascii") + quantized.astype(dtype).tobytes()
+        return header + quantized.astype(dtype).tobytes()
     body = "\n".join(" ".join(str(v) for v in row) for row in quantized)
-    return (header + body + "\n").encode("ascii")
+    return header + (body + "\n").encode("ascii")
 
 
 def _encode_csv(img: Micrograph) -> bytes:
@@ -270,8 +274,8 @@ def write_image(
 
 def write_binary_image(img: BinaryImage, path: str | Path) -> None:
     """Write a thresholded picture as PGM with maxval 1: 0 = white, 1 = black."""
-    write_image(Micrograph(img.bits.astype(np.float64)), path, format="pgm",
-                maxval=1, binary=True)
+    header = _pgm_header(True, img.width, img.height, 1)
+    atomic_write_bytes(path, header + img.bits.astype(np.uint8).tobytes())
 
 
 def read_binary_image(path: str | Path) -> BinaryImage:

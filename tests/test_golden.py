@@ -1,9 +1,11 @@
 """Golden-bytes regression: detect outputs and Monte Carlo CSVs are pinned.
 
-The expected hashes and CSV text were recorded before the cluster extraction
-was rewritten to label once and build only the kept clusters. Any change to
-the report, the binary or filtered PGMs, or the Monte Carlo statistics fails
-here, at image sizes well beyond the small oracle images of the unit tests.
+The expected hashes and the detection CSV were recorded before the cluster
+extraction was rewritten to label once and build only the kept clusters, the
+consistency CSV before the scans of one image shared one integral table. Any
+change to the report, the binary or filtered PGMs, or the Monte Carlo
+statistics fails here, at image sizes well beyond the small oracle images of
+the unit tests.
 """
 
 import hashlib
@@ -17,9 +19,11 @@ from percopick import (
     UniformNoise,
     disc_mask,
     generate_scene,
+    mc_consistency,
     mc_detection,
     place_shape,
     shape_library,
+    square_mask,
     write_image,
 )
 from percopick.cli import main
@@ -34,6 +38,14 @@ GOLDEN_DETECT = {
 GOLDEN_MC_CSV = (
     "trials,n_particles,all_detected_fraction,any_false_fraction,mean_false_clusters\n"
     "4,5,1,1,6\n"
+)
+
+
+GOLDEN_CONSISTENCY_CSV = (
+    "phi0,trials,median_abs_err,q25_abs_err,q75_abs_err,naive_median_abs_err\n"
+    "16,4,0.0238782,0.0233306,0.0260191,0.117254\n"
+    "32,4,0.00991754,0.00957061,0.010587,0.117254\n"
+    "64,4,0.00361883,0.00317042,0.00402098,0.117254\n"
 )
 
 
@@ -85,3 +97,16 @@ def test_mc_detection_csv_matches_golden(jobs):
     stats = mc_detection(_criterion6_scene(), UniformNoise(0.25), params,
                          trials=4, seed=[31, 6], jobs=jobs)
     assert stats.to_csv() == GOLDEN_MC_CSV
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mc_consistency_csv_matches_golden(jobs):
+    # the criteria 2-4 scene of the acceptance suite
+    n = 256
+    boxes = [(4, 104), (90, 170), (172, 104)]
+    masks = tuple(place_shape(n, square_mask(80), r, c) for r, c in boxes)
+    spec = SceneSpec(n=n, a=0.3, b=0.7, particles=masks, noise_square=(0, 0),
+                     noise_square_side=64, min_particle_square=16)
+    table = mc_consistency(spec, UniformNoise(0.2), [16, 32, 64], trials=4,
+                           seed=[41, 5], jobs=jobs)
+    assert table.to_csv() == GOLDEN_CONSISTENCY_CSV

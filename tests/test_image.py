@@ -83,6 +83,13 @@ class TestIntegralImage:
         assert np.all(ii.table[0, :] == 0)
         assert np.all(ii.table[:, 0] == 0)
 
+    def test_table_built_once_and_shared(self):
+        img = Micrograph(np.arange(12.0).reshape(3, 4))
+        ii = build_integral(img)
+        assert build_integral(img) is ii
+        assert img.integral is ii
+        assert not ii.table.flags.writeable
+
     def test_matches_brute_force_partial_sums(self):
         rng = np.random.default_rng(20160)
         pixels = rng.random((16, 16))
@@ -158,6 +165,18 @@ class TestDownsample:
             for c in range(2):
                 manual = pixels[2 * r : 2 * r + 2, 2 * c : 2 * c + 2].mean()
                 assert out.pixels[r, c] == pytest.approx(manual, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 7), (40, 2), (2, 41), (301, 257)]
+    )
+    def test_bit_identical_to_reshape_mean(self, shape):
+        # non-integer values, so any other order of the four additions shows
+        pixels = np.random.default_rng(sum(shape)).random(shape) * 1000.0 + 0.1
+        h2, w2 = shape[0] // 2, shape[1] // 2
+        reference = pixels[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3))
+        out = downsample2x(Micrograph(pixels)).pixels
+        assert out.shape == reference.shape
+        assert out.tobytes() == reference.tobytes()
 
     def test_preserves_global_mean_for_even_dims(self):
         # dyadic values make every block mean exact, so equality is exact

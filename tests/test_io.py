@@ -168,6 +168,17 @@ def test_binary_image_pgm_round_trip(tmp_path):
     assert np.array_equal(back.bits, bits)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (12, 17), (64, 64)])
+def test_binary_image_bytes_match_grayscale_writer(tmp_path, shape):
+    from percopick import BinaryImage, write_binary_image
+
+    bits = np.random.default_rng(shape[1]).random(shape) < 0.5
+    fast, slow = tmp_path / "fast.pgm", tmp_path / "slow.pgm"
+    write_binary_image(BinaryImage(bits), fast)
+    write_image(Micrograph(bits.astype(np.float64)), slow, maxval=1)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
 def test_read_binary_image_rejects_grayscale(tmp_path):
     from percopick import read_binary_image
 

@@ -12,6 +12,7 @@ from percopick import (
     scan_max_window,
     scan_min_window,
 )
+from percopick import image
 
 
 def exhaustive_extremum(pixels, side, take_max):
@@ -112,6 +113,16 @@ class TestEstimates:
         assert est.b_hat == est.k_hat_high.mean
         assert est.phi0 == 6 and est.phi1 == 3
         assert est.k_hat_low.side == 6 and est.k_hat_high.side == 3
+
+    def test_both_scans_share_one_integral_table(self, monkeypatch):
+        builds = []
+        build = image._build_integral
+        monkeypatch.setattr(image, "_build_integral",
+                            lambda img: builds.append(img) or build(img))
+        img = Micrograph(np.random.default_rng(29).random((12, 12)))
+        estimate_intensities(img, 4, 2)
+        estimate_lower(img, 6)
+        assert builds == [img]
 
     def test_min_leq_max_for_equal_sides(self):
         rng = np.random.default_rng(23)
