@@ -56,18 +56,14 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _list_of(convert, what: str):
+    """An argparse type: comma-separated values, each read by convert."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parse
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
@@ -238,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc-consistency",
                        help="error table of the background estimate over seeded trials")
     p.add_argument("--scene", required=True)
-    p.add_argument("--phi0-grid", dest="phi0_grid", type=_int_list, default=[16, 32, 64],
-                   help="comma-separated window sides (default: %(default)s)")
+    p.add_argument("--phi0-grid", dest="phi0_grid", type=_list_of(int, "integers"),
+                   default=[16, 32, 64], help="comma-separated window sides (default: %(default)s)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
@@ -261,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound",
                        help="evaluate the window-selection probability bound")
-    p.add_argument("--s1", type=_int_list, required=True,
+    p.add_argument("--s1", type=_list_of(int, "integers"), required=True,
                    help="comma-separated particle-pixel counts per window")
-    p.add_argument("--excess", type=_int_list, required=True,
+    p.add_argument("--excess", type=_list_of(int, "integers"), required=True,
                    help="comma-separated counts of pixels outside the noise-only square")
     p.add_argument("--contrast", type=float, required=True, help="intensity gap b - a")
     p.add_argument("--sigma", type=float, required=True, help="noise standard deviation")
@@ -274,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("percolation-phase",
                        help="largest-cluster statistics of Bernoulli site fields")
     p.add_argument("--n", type=int, default=256, help="field side (default: %(default)s)")
-    p.add_argument("--p", type=_float_list, default=[0.4, 0.6],
+    p.add_argument("--p", type=_list_of(float, "numbers"), default=[0.4, 0.6],
                    help="comma-separated site probabilities (default: %(default)s)")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

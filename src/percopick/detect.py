@@ -10,13 +10,15 @@ are reported as particles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .image import Micrograph, downsample2x, normalize_max1
-from .percolation import BinaryImage, Cluster, binarize, black_clusters, filter_clusters
+from .percolation import (BinaryImage, Cluster, _adopt_bits, binarize, black_clusters,
+                          filter_clusters)
 from .scan import IntensityEstimates, estimate_intensities
 
 
@@ -55,7 +57,7 @@ class DetectParams:
 class DetectionReport:
     estimates: IntensityEstimates
     theta: float
-    clusters_kept: tuple[Cluster, ...]
+    clusters_kept: Sequence[Cluster]
     clusters_total: int
     decision: Decision
     params: DetectParams
@@ -111,37 +113,21 @@ def preprocess(img: Micrograph, params: DetectParams) -> Micrograph:
     return out
 
 
-def _paint_clusters(clusters, width: int, height: int) -> BinaryImage:
-    bits = np.zeros((height, width), dtype=bool)
-    for c in clusters:
-        bits[c.pixels[:, 0], c.pixels[:, 1]] = True
-    return BinaryImage(bits)
-
-
 def run_detection_artifacts(img: Micrograph, params: DetectParams) -> DetectionArtifacts:
     """Full pipeline, returning the report together with intermediate images."""
     pre = preprocess(img, params)
     estimates = estimate_intensities(pre, params.phi0, params.phi1)
+    pre.__dict__.pop("integral", None)  # only the scans read the table; free it before labelling
     theta = compute_threshold(estimates.a_hat, estimates.b_hat)
     binary = binarize(pre, theta)
     clusters = black_clusters(binary)
     kept = filter_clusters(clusters, params.min_cluster_pixels)
     decision = Decision.PARTICLES_FOUND if kept else Decision.NO_PARTICLES
-    report = DetectionReport(
-        estimates=estimates,
-        theta=theta,
-        clusters_kept=tuple(kept),
-        clusters_total=len(clusters),
-        decision=decision,
-        params=params,
-        image_dims=(pre.width, pre.height),
-    )
-    return DetectionArtifacts(
-        report=report,
-        preprocessed=pre,
-        binary=binary,
-        kept_binary=_paint_clusters(kept, pre.width, pre.height),
-    )
+    report = DetectionReport(estimates=estimates, theta=theta, clusters_kept=kept,
+                             clusters_total=len(clusters), decision=decision, params=params,
+                             image_dims=(pre.width, pre.height))
+    return DetectionArtifacts(report=report, preprocessed=pre, binary=binary,
+                              kept_binary=_adopt_bits(kept.labels > 0))
 
 
 def run_detection(img: Micrograph, params: DetectParams) -> DetectionReport:
@@ -156,28 +142,31 @@ def match_clusters(
 
     A particle counts as detected when some kept cluster intersects its mask;
     clusters can legitimately merge over several particles. A kept cluster
-    intersecting no mask is a false cluster.
+    intersecting no mask is a false cluster. The overlaps are one count of
+    (cluster label, truth id) pairs over the label image of a ClusterSequence;
+    clusters given as any other sequence are painted into such an image first.
     """
     width, height = dims
-    grid = np.full((height, width), -1, dtype=np.int64)
+    kept = getattr(clusters, "labels", None)
+    if kept is None:
+        clusters = list(clusters)
+        kept = np.zeros((height, width), dtype=np.intp)
+        for i, c in enumerate(clusters, 1):
+            kept[c.pixels[:, 0], c.pixels[:, 1]] = i
+    on = np.flatnonzero(kept)  # pixels off the kept clusters make no pair that counts
     masks = list(truth_masks)
+    truth = np.zeros(on.size, dtype=np.intp)  # at those pixels: i + 1 on mask i, else 0
     for i, mask in enumerate(masks):
         m = np.asarray(mask, dtype=bool)
         if m.shape != (height, width):
-            raise ValueError(
-                f"truth mask {i} has shape {m.shape}, expected {(height, width)}"
-            )
-        grid[m] = i
-    detected = np.zeros(len(masks), dtype=bool)
-    false_clusters = 0
-    for c in clusters:
-        hits = grid[c.pixels[:, 0], c.pixels[:, 1]]
-        hit_ids = np.unique(hits[hits >= 0])
-        if hit_ids.size == 0:
-            false_clusters += 1
-        else:
-            detected[hit_ids] = True
-    return MatchSummary(detected=tuple(bool(d) for d in detected), false_clusters=false_clusters)
+            raise ValueError(f"truth mask {i} has shape {m.shape}, expected {(height, width)}")
+        truth[m.ravel()[on]] = i + 1
+    t = len(masks) + 1
+    pairs = np.bincount(kept.ravel()[on].astype(np.intp) * t + truth,
+                        minlength=(len(clusters) + 1) * t)
+    hits = pairs.reshape(-1, t)[1:, 1:] > 0  # row: kept cluster, column: particle
+    return MatchSummary(detected=tuple(hits.any(axis=0).tolist()),
+                        false_clusters=int(np.count_nonzero(~hits.any(axis=1))))
 
 
 def match_detections(report: DetectionReport, truth_masks) -> MatchSummary:
@@ -191,7 +180,6 @@ def fmt6(x: float) -> str:
 
 
 def report_to_dict(report: DetectionReport) -> dict:
-    p = report.params
     return {
         "a_hat": float(fmt6(report.estimates.a_hat)),
         "b_hat": float(fmt6(report.estimates.b_hat)),
@@ -202,14 +190,8 @@ def report_to_dict(report: DetectionReport) -> dict:
         ],
         "clusters_total": report.clusters_total,
         "decision": report.decision.value,
-        "params": {
-            "phi0": p.phi0,
-            "phi1": p.phi1,
-            "min_cluster_pixels": p.min_cluster_pixels,
-            "downsample_passes": p.downsample_passes,
-            "normalize": p.normalize,
-        },
-        "dims": [report.image_dims[0], report.image_dims[1]],
+        "params": asdict(report.params),  # field order is the key order
+        "dims": list(report.image_dims),
     }
 
 

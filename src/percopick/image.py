@@ -24,10 +24,7 @@ class Micrograph:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = self.pixels  # a read-only float64 array owning its data is kept, not copied
-        if not (type(px) is np.ndarray and px.dtype == np.float64 and px.flags.c_contiguous
-                and px.flags.owndata and not px.flags.writeable):
-            px = np.array(px, dtype=np.float64, copy=True, order="C")
+        px = _owned(self.pixels, np.float64)
         if px.ndim != 2:
             raise ValueError(f"pixels must be a 2D grid, got {px.ndim} dimension(s)")
         if px.shape[0] < 1 or px.shape[1] < 1:
@@ -49,6 +46,15 @@ class Micrograph:
     def integral(self) -> IntegralImage:
         """The cumulative-sum table of the pixels, built once per image."""
         return _build_integral(self)
+
+
+def _owned(a, dtype) -> np.ndarray:
+    """a itself if it is a read-only, C-contiguous ndarray of dtype that owns its
+    data, so nobody can change it; otherwise a fresh C-ordered copy."""
+    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.c_contiguous
+            and a.flags.owndata and not a.flags.writeable):
+        return a
+    return np.array(a, dtype=dtype, copy=True, order="C")
 
 
 def _adopt(px: np.ndarray) -> Micrograph:

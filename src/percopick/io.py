@@ -8,6 +8,7 @@ Writers are atomic (temp file + rename).
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,9 @@ from .image import Micrograph, _adopt
 from .percolation import BinaryImage
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_IS_WHITESPACE = np.isin(np.arange(256), list(_WHITESPACE))  # indexed by byte value
+# separators (whitespace, or a comment from '#' to the end of its line), then a token
+_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*\n?)*([^ \t\r\n\x0b\x0c#]*)")
 _FORMATS = ("pgm", "csv")
 
 
@@ -45,27 +49,11 @@ class _PgmScanner:
         """A parse error at a byte offset, located by line as well."""
         return ImageParseError(message, offset=offset, line=self.data.count(b"\n", 0, offset) + 1)
 
-    def skip_separators(self):
-        d, n = self.data, len(self.data)
-        while self.pos < n:
-            c = d[self.pos : self.pos + 1]
-            if c in _WHITESPACE:
-                self.pos += 1
-            elif c == b"#":
-                nl = d.find(b"\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            else:
-                return
-
     def next_token(self, what: str) -> tuple[bytes, int]:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise self.error(f"unexpected end of file while reading {what}", self.pos)
-        start = self.pos
-        d, n = self.data, len(self.data)
-        while self.pos < n and d[self.pos : self.pos + 1] not in _WHITESPACE + b"#":
-            self.pos += 1
-        return d[start : self.pos], start
+        start, self.pos = _TOKEN.match(self.data, self.pos).span(1)
+        if start == self.pos:  # only separators were left
+            raise self.error(f"unexpected end of file while reading {what}", start)
+        return self.data[start : self.pos], start
 
     def next_int(self, what: str, low: int, high: int) -> int:
         tok, start = self.next_token(what)
@@ -76,6 +64,32 @@ class _PgmScanner:
         if not low <= value <= high:
             raise self.error(f"{what} {value} outside allowed range {low}..{high}", start)
         return value
+
+
+def _blank_comments(body: bytes) -> bytes:
+    """body with every comment ('#' to the end of its line) overwritten by
+    spaces, so it splits into the tokens _PgmScanner reads, at the same offsets."""
+    return re.sub(rb"#[^\n]*", lambda m: b" " * (m.end() - m.start()), body)
+
+
+def _seek_pixel(sc: _PgmScanner, index: int) -> None:
+    """Move the scanner so that its next token is token `index` from here on,
+    or to the end of the data if there are fewer, without walking the tokens."""
+    sep = _IS_WHITESPACE[np.frombuffer(_blank_comments(sc.data[sc.pos :]), np.uint8)]
+    starts = np.flatnonzero(~sep & np.r_[True, sep[:-1]])
+    sc.pos = sc.pos + int(starts[index]) if index < starts.size else len(sc.data)
+
+
+def _first_rejected(tokens: list[bytes], maxval: int) -> int:
+    """Index of the first token _PgmScanner.next_int rejects as a pixel value
+    (not an integer, or outside 0..maxval), else len(tokens)."""
+    for i, tok in enumerate(tokens):
+        try:
+            if not 0 <= int(tok) <= maxval:
+                return i
+        except ValueError:
+            return i
+    return len(tokens)
 
 
 def _read_pgm(data: bytes) -> Micrograph:
@@ -89,8 +103,7 @@ def _read_pgm(data: bytes) -> Micrograph:
     count = width * height
 
     if magic == b"P2":
-        rest = data[sc.pos :]
-        tokens = rest.split()
+        tokens = data[sc.pos :].split()
         if len(tokens) < count:
             raise ImageParseError(
                 f"expected {count} pixel values, found {len(tokens)}",
@@ -98,22 +111,19 @@ def _read_pgm(data: bytes) -> Micrograph:
                 line=data.count(b"\n", 0, len(data) - 1) + 1,  # line of the last byte
             )
         if len(tokens) > count:
-            # locate the first extra token for the diagnostic
-            for _ in range(count):
-                sc.next_token("pixel value")
+            _seek_pixel(sc, count)  # the first extra token
             _, extra = sc.next_token("pixel value")
             raise sc.error("trailing data after pixel values", extra)
         try:
             values = np.array(tokens, dtype=np.int64)
         except ValueError:
-            # slow path only to pinpoint the offending token
-            for i in range(count):
-                sc.next_int("pixel value", 0, maxval)
-            raise  # pragma: no cover - next_int always raises first
+            bad = _first_rejected(_blank_comments(data[sc.pos :]).split(), maxval)
+            if bad == count:
+                raise  # every token parses once comments are skipped
+            _seek_pixel(sc, bad)
+            sc.next_int("pixel value", 0, maxval)  # raises: this token is bad or missing
         if values.min() < 0 or values.max() > maxval:
-            bad = int(np.argmax((values < 0) | (values > maxval)))
-            for _ in range(bad):
-                sc.next_token("pixel value")
+            _seek_pixel(sc, int(np.argmax((values < 0) | (values > maxval))))
             tok, off = sc.next_token("pixel value")
             value = tok.decode("ascii", "replace")
             raise sc.error(f"pixel value {value} outside 0..{maxval}", off)

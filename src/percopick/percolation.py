@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
 
-from .image import Micrograph
+from .image import Micrograph, _owned
 
 # Neighbor offsets of the sheared triangular-lattice embedding.
 TRI_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, 1), (1, -1))
@@ -34,7 +35,7 @@ class BinaryImage:
     bits: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.bits, dtype=bool, copy=True, order="C")
+        b = _owned(self.bits, np.bool_)
         if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] < 1:
             raise ValueError(f"bits must be a non-empty 2D grid, got shape {b.shape}")
         b.setflags(write=False)
@@ -47,6 +48,12 @@ class BinaryImage:
     @property
     def width(self) -> int:
         return self.bits.shape[1]
+
+
+def _adopt_bits(bits: np.ndarray) -> BinaryImage:
+    """Wrap a bool array just computed and held by no one else, without a copy."""
+    bits.setflags(write=False)
+    return BinaryImage(bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,12 +70,28 @@ class Cluster:
     bbox: tuple[int, int, int, int]
 
 
+class _LabelledCluster(Cluster):
+    """A Cluster found by labelling. It keeps its label image and label value
+    and builds pixels only when they are read, which no pipeline stage does."""
+
+    def __init__(self, id: int, pixel_count: int, box: tuple[slice, slice], labels, label: int):
+        rows, cols = box
+        self.__dict__.update(id=id, pixel_count=pixel_count, _labels=labels, _label=label,
+                             bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1))
+
+    @cached_property
+    def pixels(self) -> np.ndarray:
+        r0, c0, r1, c1 = self.bbox
+        rr, cc = np.nonzero(self._labels[r0 : r1 + 1, c0 : c1 + 1] == self._label)  # row-major
+        return np.column_stack((rr + r0, cc + c0))
+
+
 def binarize(img: Micrograph, theta: float) -> BinaryImage:
     """Threshold at level theta: a pixel is black iff its value is >= theta."""
     theta = float(theta)
     if not np.isfinite(theta):
         raise ValueError(f"threshold must be finite, got {theta}")
-    return BinaryImage(img.pixels >= theta)
+    return _adopt_bits(img.pixels >= theta)
 
 
 def tri_neighbors(row: int, col: int, width: int, height: int) -> list[tuple[int, int]]:
@@ -95,52 +118,37 @@ def label_black(image: BinaryImage) -> tuple[np.ndarray, int]:
     it against a depth-first reference), so its labels need only the shift.
     """
     raw, count = ndimage.label(image.bits, structure=_TRI_STRUCTURE)
-    return np.subtract(raw, 1, dtype=np.int64), count
+    raw -= 1
+    return raw, count
 
 
 class ClusterSequence(Sequence):
-    """All black clusters of one picture, in discovery order, built on demand.
+    """Black clusters of one picture in discovery order, carried by a label image.
 
-    Only the label image and the size of every cluster are computed up front.
-    A Cluster is built the first time it is read, from its bounding box, and
-    kept, so repeated reads return the same object. The boxes themselves are
-    found on the first read, so size-only callers never pay for them.
-
-    sizes is the read-only array of pixel counts indexed by cluster id.
+    labels is a read-only grid holding i + 1 on the pixels of the i-th cluster
+    of the sequence and 0 elsewhere; ids[i] and sizes[i] are that cluster's id
+    and pixel count. black_clusters gives the sequence of all clusters, where
+    ids[i] == i, and filter_clusters a shorter one over a relabelled image. The
+    clusters are built on the first read, from their boxes in labels, and kept,
+    so repeated reads return the same object.
     """
 
-    def __init__(self, labels: np.ndarray, count: int):
-        # labels: scipy's numbering, 0 on white pixels and id + 1 on black ones
-        labels.setflags(write=False)
-        self._labels = labels
-        self._boxes = None
-        self._built: dict[int, Cluster] = {}
-        self.sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
-        self.sizes.setflags(write=False)
+    def __init__(self, labels: np.ndarray, ids: np.ndarray, sizes: np.ndarray):
+        for a in (labels, ids, sizes):
+            a.setflags(write=False)
+        self.labels, self.ids, self.sizes = labels, ids, sizes
+        self._built = None
 
     def __len__(self) -> int:
         return self.sizes.size
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        cid = range(len(self))[index]  # normalizes negatives, raises IndexError
-        cluster = self._built.get(cid)
-        if cluster is None:
-            cluster = self._built.setdefault(cid, self._build(cid))
-        return cluster
-
-    def _build(self, cid: int) -> Cluster:
-        if self._boxes is None:
-            self._boxes = ndimage.find_objects(self._labels, max_label=len(self))
-        rows, cols = self._boxes[cid]
-        rr, cc = np.nonzero(self._labels[rows, cols] == cid + 1)  # row-major
-        return Cluster(
-            id=cid,
-            pixel_count=int(self.sizes[cid]),
-            pixels=np.column_stack((rr + rows.start, cc + cols.start)),
-            bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1),
-        )
+        if self._built is None:
+            boxes = ndimage.find_objects(self.labels, max_label=len(self))
+            self._built = tuple(
+                _LabelledCluster(cid, size, box, self.labels, k) for k, (cid, size, box)
+                in enumerate(zip(self.ids.tolist(), self.sizes.tolist(), boxes), 1))
+        return list(self._built[index]) if isinstance(index, slice) else self._built[index]
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -154,8 +162,9 @@ def black_clusters(image: BinaryImage) -> ClusterSequence:
     One labelling pass and one size count; a cluster is built only when read.
     """
     labels, count = label_black(image)
-    labels += 1  # back to scipy's numbering, which bincount and find_objects take
-    return ClusterSequence(labels, count)
+    labels += 1  # back to scipy's numbering, i + 1 on cluster i
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+    return ClusterSequence(labels, np.arange(count), sizes)
 
 
 def cluster_sizes(image: BinaryImage) -> np.ndarray:
@@ -163,17 +172,24 @@ def cluster_sizes(image: BinaryImage) -> np.ndarray:
     return black_clusters(image).sizes
 
 
-def filter_clusters(clusters: Sequence[Cluster], min_pixels: int) -> list[Cluster]:
+def filter_clusters(clusters: Sequence[Cluster], min_pixels: int) -> Sequence[Cluster]:
     """Keep clusters with at least min_pixels pixels, preserving order and ids.
 
-    From a ClusterSequence the survivors are picked by size and only they are
-    built.
+    From a ClusterSequence the result is a ClusterSequence whose label image, a
+    lookup table applied to the input's, holds only the kept clusters (or the
+    input itself if all are kept); so no dropped cluster is ever boxed. From
+    any other sequence the result is a list.
     """
     if min_pixels < 1:
         raise ValueError(f"min_pixels must be >= 1, got {min_pixels}")
-    if isinstance(clusters, ClusterSequence):
-        return [clusters[cid] for cid in np.flatnonzero(clusters.sizes >= min_pixels)]
-    return [c for c in clusters if c.pixel_count >= min_pixels]
+    if not isinstance(clusters, ClusterSequence):
+        return [c for c in clusters if c.pixel_count >= min_pixels]
+    keep = clusters.sizes >= min_pixels
+    if keep.all():
+        return clusters
+    lut = np.zeros(len(clusters) + 1, dtype=np.int32)
+    lut[1:][keep] = np.arange(1, np.count_nonzero(keep) + 1)
+    return ClusterSequence(lut.take(clusters.labels), clusters.ids[keep], clusters.sizes[keep])
 
 
 def bernoulli_field(width: int, height: int, p: float, seed) -> BinaryImage:
@@ -183,4 +199,4 @@ def bernoulli_field(width: int, height: int, p: float, seed) -> BinaryImage:
     if width < 1 or height < 1:
         raise ValueError(f"field must be at least 1x1, got {width}x{height}")
     rng = np.random.default_rng(seed)
-    return BinaryImage(rng.random((height, width)) < p)
+    return _adopt_bits(rng.random((height, width)) < p)

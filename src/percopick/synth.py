@@ -398,18 +398,21 @@ def window_selection_bound(
     c1 = 3.0 * b_minus_a ** 2
     c2 = 12.0 * sigma ** 2
     c3 = 4.0 * bound_m * b_minus_a
-    total = 0.0
-    for s, e in zip(s1, excess):
-        if s == 0.0:
-            total += 1.0
-        else:
-            total += math.exp(-c1 * s * s / (c2 * e + c3 * s))
+    total = sum(1.0 if s == 0.0 else math.exp(-c1 * s * s / (c2 * e + c3 * s))
+                for s, e in zip(s1, excess))
     return BoundResult(raw_sum=total, clipped=min(total, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo harnesses
 # ---------------------------------------------------------------------------
+
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: floats through fmt6, ints as is."""
+    lines = [header] + [",".join(fmt6(v) if isinstance(v, float) else str(v) for v in row)
+                        for row in rows]
+    return "\n".join(lines) + "\n"
+
 
 @dataclass(frozen=True)
 class ConsistencyRow:
@@ -426,14 +429,9 @@ class ConsistencyTable:
     trials: int
 
     def to_csv(self) -> str:
-        lines = ["phi0,trials,median_abs_err,q25_abs_err,q75_abs_err,naive_median_abs_err"]
-        for r in self.rows:
-            lines.append(
-                f"{r.phi0},{self.trials},{fmt6(r.median_abs_err)},"
-                f"{fmt6(r.q25_abs_err)},{fmt6(r.q75_abs_err)},"
-                f"{fmt6(self.naive_median_abs_err)}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv("phi0,trials,median_abs_err,q25_abs_err,q75_abs_err,naive_median_abs_err",
+                    [(r.phi0, self.trials, r.median_abs_err, r.q25_abs_err, r.q75_abs_err,
+                      self.naive_median_abs_err) for r in self.rows])
 
 
 def _consistency_trial(args):
@@ -497,32 +495,24 @@ class DetectionStats:
     mean_false_clusters: float
 
     def to_csv(self) -> str:
-        header = (
-            "trials,n_particles,all_detected_fraction,"
-            "any_false_fraction,mean_false_clusters"
-        )
-        row = (
-            f"{self.trials},{self.n_particles},{fmt6(self.all_detected_fraction)},"
-            f"{fmt6(self.any_false_fraction)},{fmt6(self.mean_false_clusters)}"
-        )
-        return header + "\n" + row + "\n"
+        return _csv("trials,n_particles,all_detected_fraction,any_false_fraction,"
+                    "mean_false_clusters",
+                    [(self.trials, self.n_particles, self.all_detected_fraction,
+                      self.any_false_fraction, self.mean_false_clusters)])
 
 
 def _detection_trial(args):
     spec, noise, params, seed, trial, theta = args
     img, masks = generate_scene(spec, noise, [seed, trial])
     if theta is None:
-        report = run_detection_artifacts(img, params).report
-        summary = match_detections(report, masks)
-        return summary.all_detected, summary.false_clusters
-    pre = preprocess(img, params)
-    binary = binarize(pre, theta)
-    if not masks:
-        # every kept cluster is false; sizes suffice
-        sizes = cluster_sizes(binary)
-        return True, int((sizes >= params.min_cluster_pixels).sum())
-    kept = filter_clusters(black_clusters(binary), params.min_cluster_pixels)
-    summary = match_clusters(kept, (pre.width, pre.height), masks)
+        summary = match_detections(run_detection_artifacts(img, params).report, masks)
+    else:
+        pre = preprocess(img, params)
+        binary = binarize(pre, theta)
+        if not masks:  # every kept cluster is false; sizes suffice
+            return True, int((cluster_sizes(binary) >= params.min_cluster_pixels).sum())
+        kept = filter_clusters(black_clusters(binary), params.min_cluster_pixels)
+        summary = match_clusters(kept, (pre.width, pre.height), masks)
     return summary.all_detected, summary.false_clusters
 
 
@@ -575,13 +565,9 @@ class PhaseTable:
     rows: tuple[PhaseRow, ...]
 
     def to_csv(self) -> str:
-        lines = ["p,trial,largest_cluster,largest_fraction,n_clusters"]
-        for r in self.rows:
-            lines.append(
-                f"{fmt6(r.p)},{r.trial},{r.largest_cluster},"
-                f"{fmt6(r.largest_fraction)},{r.n_clusters}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv("p,trial,largest_cluster,largest_fraction,n_clusters",
+                    [(r.p, r.trial, r.largest_cluster, r.largest_fraction, r.n_clusters)
+                     for r in self.rows])
 
 
 def percolation_phase(n: int, p_values, trials: int, seed: int) -> PhaseTable:

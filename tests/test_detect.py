@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from percopick import (
+    BinaryImage,
     Decision,
     DegenerateEstimatesError,
     DetectParams,
+    MatchSummary,
     Micrograph,
+    black_clusters,
     compute_threshold,
+    filter_clusters,
     match_clusters,
     match_detections,
     report_to_json,
@@ -24,6 +30,21 @@ def two_level_image(n=128, a=0.0, b=1.0, box=(40, 60, 20, 20)):
     r, c, h, w = box
     pixels[r : r + h, c : c + w] = b
     return Micrograph(pixels)
+
+
+def reference_match(clusters, dims, truth_masks):
+    """Per-pixel reference matcher: (detected, false_clusters) from every
+    pixel of every cluster looked up in every mask."""
+    detected = [False] * len(truth_masks)
+    false_clusters = 0
+    for c in clusters:
+        hit = False
+        for r, col in c.pixels.tolist():
+            for i, mask in enumerate(truth_masks):
+                if mask[r][col]:
+                    detected[i] = hit = True
+        false_clusters += not hit
+    return tuple(detected), false_clusters
 
 
 class TestComputeThreshold:
@@ -148,6 +169,10 @@ class TestRunDetection:
             base.report.estimates.a_hat + 0.17, abs=1e-12
         )
 
+    def test_artifacts_release_the_integral_table(self):
+        art = run_detection_artifacts(two_level_image(), self.PARAMS)
+        assert "integral" not in art.preprocessed.__dict__
+
     def test_artifacts_kept_binary_matches_clusters(self):
         img = two_level_image()
         art = run_detection_artifacts(img, self.PARAMS)
@@ -209,6 +234,55 @@ class TestMatchDetections:
         report = run_detection(img, self.PARAMS)
         with pytest.raises(ValueError, match="shape"):
             match_detections(report, [np.zeros((64, 64), dtype=bool)])
+
+
+class TestMatchClustersProperty:
+    @staticmethod
+    def _check(bits, masks, min_pixels):
+        kept = filter_clusters(black_clusters(BinaryImage(bits)), min_pixels)
+        dims = (bits.shape[1], bits.shape[0])
+        summary = match_clusters(kept, dims, masks)
+        assert (summary.detected, summary.false_clusters) == reference_match(kept, dims, masks)
+        # the same clusters as a plain list go through the painting path
+        assert match_clusters(list(kept), dims, masks) == summary
+        return summary
+
+    def test_cluster_spanning_two_masks(self):
+        bits = np.zeros((6, 10), dtype=bool)
+        bits[2, 1:9] = True
+        left, right = np.zeros((2, 6, 10), dtype=bool)
+        left[2, 0:3] = right[1:4, 6:8] = True
+        summary = self._check(bits, [left, right], 8)
+        assert summary == MatchSummary(detected=(True, True), false_clusters=0)
+
+    def test_scene_without_masks(self):
+        bits = np.random.default_rng(8).random((20, 20)) < 0.5
+        summary = self._check(bits, [], 1)
+        assert summary.detected == () and summary.false_clusters > 0
+
+    def test_cluster_of_exactly_min_pixels(self):
+        bits = np.zeros((5, 5), dtype=bool)
+        bits[1, 1:4] = True  # 3 pixels
+        bits[4, 0:2] = True  # 2 pixels, dropped
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[4, 0] = True
+        summary = self._check(bits, [mask], 3)
+        assert summary == MatchSummary(detected=(False,), false_clusters=1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 48), p=st.floats(0.3, 0.7), min_pixels=st.integers(1, 40),
+           n_masks=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, p=0.5, min_pixels=1, n_masks=0, seed=0)
+    def test_matches_per_pixel_reference(self, n, p, min_pixels, n_masks, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.random((n, n)) < p
+        # disjoint random rectangles, as scenes place them
+        owner = np.full((n, n), -1)
+        for i in range(n_masks):
+            r0, c0 = rng.integers(0, n, 2)
+            r1, c1 = r0 + rng.integers(1, n + 1), c0 + rng.integers(1, n + 1)
+            owner[r0:r1, c0:c1] = i
+        self._check(bits, [owner == i for i in range(n_masks)], min_pixels)
 
 
 class TestReportJson:

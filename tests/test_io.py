@@ -1,5 +1,7 @@
 """PGM and CSV readers/writers: format handling, round-trips, error paths."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,40 @@ def test_p2_value_above_maxval(tmp_path):
     path.write_bytes(b"P2\n2 2\n255\n1 2 999 4")
     with pytest.raises(ImageParseError, match="999"):
         read_image(path)
+
+
+@pytest.mark.parametrize("last, message", [
+    (b"x", "non-numeric token b'x' for pixel value"),
+    (b"999", "pixel value 999 outside 0..255"),
+])
+def test_p2_bad_last_token_located_without_a_token_walk(tmp_path, last, message):
+    # 600x600 values, one row per line; only the very last token is bad
+    row = b" ".join(b"%d" % (v % 256) for v in range(600)) + b"\n"
+    body = row * 599 + row[: row.rindex(b" ") + 1] + last + b"\n"
+    data = b"P2\n600 600\n255\n" + body
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    elapsed = time.perf_counter() - start
+    offset = len(data) - len(last) - 1
+    assert str(err.value) == f"{message} (line 603, byte {offset})"
+    assert (err.value.offset, err.value.line) == (offset, 603)
+    assert elapsed < 0.3, f"reporting the bad token took {elapsed:.2f} s"
+
+
+def test_p2_error_location_follows_comments(tmp_path):
+    path = tmp_path / "bad.pgm"
+    # the comment hides a token, so the scan runs out before the count
+    path.write_bytes(b"P2\n2 2\n255\n1 2 #c\n3 4")
+    with pytest.raises(ImageParseError, match="unexpected end of file") as err:
+        read_image(path)
+    assert (err.value.offset, err.value.line) == (21, 5)
+    path.write_bytes(b"P2\n3 1\n255\n1#\n#\n2 3 x")
+    with pytest.raises(ImageParseError, match="trailing data") as err:
+        read_image(path)
+    assert (err.value.offset, err.value.line) == (20, 6)
 
 
 def test_unknown_magic(tmp_path):

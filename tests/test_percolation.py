@@ -7,6 +7,8 @@ order. The two must produce identical partitions and identical ids.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percopick import (
     BinaryImage,
@@ -40,6 +42,44 @@ def dfs_labels(bits):
                         stack.append((nr, nc))
             next_id += 1
     return labels, next_id
+
+
+def brute_force_kept(bits, min_pixels):
+    """(id, pixel_count, bbox, row-major pixels) of every DFS cluster of at
+    least min_pixels pixels, in id order."""
+    ref_labels, ref_count = dfs_labels(bits)
+    expected = []
+    for cid in range(ref_count):
+        pixels = np.argwhere(ref_labels == cid)  # row-major
+        if len(pixels) >= min_pixels:
+            (r0, c0), (r1, c1) = pixels.min(axis=0), pixels.max(axis=0)
+            expected.append((cid, len(pixels), (r0, c0, r1, c1), pixels.tolist()))
+    return expected
+
+
+class TestBinaryImage:
+    def test_source_array_not_aliased(self):
+        src = np.zeros((2, 2), dtype=bool)
+        img = BinaryImage(src)
+        src[0, 0] = True
+        assert not img.bits[0, 0]
+
+    def test_read_only_view_of_writeable_array_is_copied(self):
+        src = np.zeros((2, 2), dtype=bool)
+        view = src.view()
+        view.setflags(write=False)
+        img = BinaryImage(view)
+        src[0, 0] = True
+        assert not img.bits[0, 0]
+
+    def test_own_read_only_bits_are_shared(self):
+        field = BinaryImage(np.zeros((2, 2), dtype=bool))
+        assert BinaryImage(field.bits).bits is field.bits
+        assert binarize(Micrograph([[0.1, 0.9]]), 0.5).bits.base is None  # adopted as is
+
+    def test_bits_read_only(self):
+        with pytest.raises(ValueError):
+            binarize(Micrograph([[0.1, 0.9]]), 0.5).bits[0, 0] = True
 
 
 class TestBinarize:
@@ -215,6 +255,21 @@ class TestFilterClusters:
             ref_labels[ref_labels >= 0], minlength=ref_count).tolist()
         kept = filter_clusters(clusters, min_pixels)
         assert [(c.id, c.pixel_count, c.bbox, c.pixels.tolist()) for c in kept] == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(height=st.integers(1, 64), width=st.integers(1, 64),
+           p=st.floats(0.3, 0.7), min_pixels=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kept_clusters_match_brute_force_property(self, height, width, p, min_pixels, seed):
+        bits = np.random.default_rng(seed).random((height, width)) < p
+        kept = filter_clusters(black_clusters(BinaryImage(bits)), min_pixels)
+        expected = brute_force_kept(bits, min_pixels)
+        assert [(c.id, c.pixel_count, c.bbox, c.pixels.tolist()) for c in kept] == expected
+        # the label image holds i + 1 on the i-th kept cluster and 0 elsewhere
+        painted = np.zeros((height, width), dtype=np.int64)
+        for i, (_, _, _, pixels) in enumerate(expected, 1):
+            painted[tuple(np.array(pixels).T)] = i
+        assert np.array_equal(kept.labels, painted)
 
     def test_built_clusters_are_memoized(self):
         bits = np.random.default_rng(3).random((20, 20)) < 0.5
