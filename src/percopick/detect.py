@@ -10,14 +10,13 @@ are reported as particles.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .image import Micrograph, downsample2x, normalize_max1
-from .percolation import (BinaryImage, Cluster, _adopt_bits, binarize, black_clusters,
+from .percolation import (BinaryImage, ClusterSequence, _adopt_bits, binarize, black_clusters,
                           filter_clusters)
 from .scan import IntensityEstimates, estimate_intensities
 
@@ -57,7 +56,7 @@ class DetectParams:
 class DetectionReport:
     estimates: IntensityEstimates
     theta: float
-    clusters_kept: Sequence[Cluster]
+    clusters_kept: ClusterSequence
     clusters_total: int
     decision: Decision
     params: DetectParams
@@ -135,31 +134,23 @@ def run_detection(img: Micrograph, params: DetectParams) -> DetectionReport:
     return run_detection_artifacts(img, params).report
 
 
-def match_clusters(
-    clusters, dims: tuple[int, int], truth_masks
-) -> MatchSummary:
+def match_clusters(clusters: ClusterSequence, truth_masks) -> MatchSummary:
     """Match kept clusters against ground-truth particle masks.
 
     A particle counts as detected when some kept cluster intersects its mask;
     clusters can legitimately merge over several particles. A kept cluster
     intersecting no mask is a false cluster. The overlaps are one count of
-    (cluster label, truth id) pairs over the label image of a ClusterSequence;
-    clusters given as any other sequence are painted into such an image first.
+    (cluster label, truth id) pairs over the clusters' label image, whose
+    shape every mask must have.
     """
-    width, height = dims
-    kept = getattr(clusters, "labels", None)
-    if kept is None:
-        clusters = list(clusters)
-        kept = np.zeros((height, width), dtype=np.intp)
-        for i, c in enumerate(clusters, 1):
-            kept[c.pixels[:, 0], c.pixels[:, 1]] = i
+    kept = clusters.labels
     on = np.flatnonzero(kept)  # pixels off the kept clusters make no pair that counts
     masks = list(truth_masks)
     truth = np.zeros(on.size, dtype=np.intp)  # at those pixels: i + 1 on mask i, else 0
     for i, mask in enumerate(masks):
         m = np.asarray(mask, dtype=bool)
-        if m.shape != (height, width):
-            raise ValueError(f"truth mask {i} has shape {m.shape}, expected {(height, width)}")
+        if m.shape != kept.shape:
+            raise ValueError(f"truth mask {i} has shape {m.shape}, expected {kept.shape}")
         truth[m.ravel()[on]] = i + 1
     t = len(masks) + 1
     pairs = np.bincount(kept.ravel()[on].astype(np.intp) * t + truth,
@@ -171,7 +162,7 @@ def match_clusters(
 
 def match_detections(report: DetectionReport, truth_masks) -> MatchSummary:
     """Match a report's kept clusters against ground-truth masks (see match_clusters)."""
-    return match_clusters(report.clusters_kept, report.image_dims, truth_masks)
+    return match_clusters(report.clusters_kept, truth_masks)
 
 
 def fmt6(x: float) -> str:

@@ -103,7 +103,7 @@ def _read_pgm(data: bytes) -> Micrograph:
     count = width * height
 
     if magic == b"P2":
-        tokens = data[sc.pos :].split()
+        tokens = _blank_comments(data[sc.pos :]).split()  # the tokens _PgmScanner reads
         if len(tokens) < count:
             raise ImageParseError(
                 f"expected {count} pixel values, found {len(tokens)}",
@@ -116,14 +116,13 @@ def _read_pgm(data: bytes) -> Micrograph:
             raise sc.error("trailing data after pixel values", extra)
         try:
             values = np.array(tokens, dtype=np.int64)
-        except ValueError:
-            bad = _first_rejected(_blank_comments(data[sc.pos :]).split(), maxval)
-            if bad == count:
-                raise  # every token parses once comments are skipped
-            _seek_pixel(sc, bad)
-            sc.next_int("pixel value", 0, maxval)  # raises: this token is bad or missing
-        if values.min() < 0 or values.max() > maxval:
-            _seek_pixel(sc, int(np.argmax((values < 0) | (values > maxval))))
+        except ValueError:  # a token that is no integer; the scanner names the first bad one
+            _seek_pixel(sc, _first_rejected(tokens, maxval))
+            sc.next_int("pixel value", 0, maxval)  # raises: this token is bad
+        except OverflowError:  # a token beyond int64; it and any earlier bad one are out of range
+            values = None
+        if values is None or values.min() < 0 or values.max() > maxval:
+            _seek_pixel(sc, _first_rejected(tokens, maxval))
             tok, off = sc.next_token("pixel value")
             value = tok.decode("ascii", "replace")
             raise sc.error(f"pixel value {value} outside 0..{maxval}", off)

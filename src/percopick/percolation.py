@@ -10,7 +10,7 @@ inside particles from clusters grown in background noise.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,26 +58,17 @@ def _adopt_bits(bits: np.ndarray) -> BinaryImage:
 
 @dataclass(frozen=True, eq=False)
 class Cluster:
-    """A maximal black connected component.
-
-    pixels is an (n, 2) array of (row, col) pairs in row-major scan order;
-    bbox is (min_row, min_col, max_row, max_col).
+    """A maximal black connected component: label _label of the label image of
+    the ClusterSequence that holds it. bbox is (min_row, min_col, max_row,
+    max_col); pixels, built from the label image only when read, is an (n, 2)
+    array of (row, col) pairs in row-major scan order.
     """
 
     id: int
     pixel_count: int
-    pixels: np.ndarray
     bbox: tuple[int, int, int, int]
-
-
-class _LabelledCluster(Cluster):
-    """A Cluster found by labelling. It keeps its label image and label value
-    and builds pixels only when they are read, which no pipeline stage does."""
-
-    def __init__(self, id: int, pixel_count: int, box: tuple[slice, slice], labels, label: int):
-        rows, cols = box
-        self.__dict__.update(id=id, pixel_count=pixel_count, _labels=labels, _label=label,
-                             bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1))
+    _labels: np.ndarray = field(repr=False)
+    _label: int = field(repr=False)
 
     @cached_property
     def pixels(self) -> np.ndarray:
@@ -111,26 +102,27 @@ def tri_neighbors(row: int, col: int, width: int, height: int) -> list[tuple[int
 def label_black(image: BinaryImage) -> tuple[np.ndarray, int]:
     """Label black connected components under triangular adjacency.
 
-    Returns (labels, count) where labels holds -1 on white pixels and cluster
-    ids 0..count-1 on black ones. Ids follow discovery order of a row-major
-    scan: the cluster whose first pixel appears earliest gets id 0.
-    scipy.ndimage.label already numbers components in that order (a test pins
-    it against a depth-first reference), so its labels need only the shift.
+    Returns (labels, count) where labels holds 0 on white pixels and k on the
+    pixels of cluster k - 1, for k in 1..count: scipy.ndimage.label's
+    numbering, the one numbering of every label image in the package. Ids
+    follow discovery order of a row-major scan: the cluster whose first pixel
+    appears earliest gets id 0 and label 1 (a test pins scipy's order against
+    a depth-first reference).
     """
-    raw, count = ndimage.label(image.bits, structure=_TRI_STRUCTURE)
-    raw -= 1
-    return raw, count
+    return ndimage.label(image.bits, structure=_TRI_STRUCTURE)
 
 
 class ClusterSequence(Sequence):
-    """Black clusters of one picture in discovery order, carried by a label image.
+    """Black clusters of one picture in discovery order, carried by a label
+    image: the package's one cluster format.
 
-    labels is a read-only grid holding i + 1 on the pixels of the i-th cluster
-    of the sequence and 0 elsewhere; ids[i] and sizes[i] are that cluster's id
-    and pixel count. black_clusters gives the sequence of all clusters, where
-    ids[i] == i, and filter_clusters a shorter one over a relabelled image. The
-    clusters are built on the first read, from their boxes in labels, and kept,
-    so repeated reads return the same object.
+    labels is a read-only grid in label_black's numbering: i + 1 on the pixels
+    of the i-th cluster of the sequence, 0 elsewhere; ids[i] and sizes[i] are
+    that cluster's id and pixel count. black_clusters gives the sequence of all
+    clusters, over label_black's own image (ids[i] == i), and filter_clusters a
+    shorter one over a relabelled image. The Cluster objects are built on the
+    first read, from their boxes in labels, and kept, so repeated reads return
+    the same object.
     """
 
     def __init__(self, labels: np.ndarray, ids: np.ndarray, sizes: np.ndarray):
@@ -146,7 +138,8 @@ class ClusterSequence(Sequence):
         if self._built is None:
             boxes = ndimage.find_objects(self.labels, max_label=len(self))
             self._built = tuple(
-                _LabelledCluster(cid, size, box, self.labels, k) for k, (cid, size, box)
+                Cluster(cid, size, (rows.start, cols.start, rows.stop - 1, cols.stop - 1),
+                        self.labels, k) for k, (cid, size, (rows, cols))
                 in enumerate(zip(self.ids.tolist(), self.sizes.tolist(), boxes), 1))
         return list(self._built[index]) if isinstance(index, slice) else self._built[index]
 
@@ -162,7 +155,6 @@ def black_clusters(image: BinaryImage) -> ClusterSequence:
     One labelling pass and one size count; a cluster is built only when read.
     """
     labels, count = label_black(image)
-    labels += 1  # back to scipy's numbering, i + 1 on cluster i
     sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
     return ClusterSequence(labels, np.arange(count), sizes)
 
@@ -172,18 +164,15 @@ def cluster_sizes(image: BinaryImage) -> np.ndarray:
     return black_clusters(image).sizes
 
 
-def filter_clusters(clusters: Sequence[Cluster], min_pixels: int) -> Sequence[Cluster]:
+def filter_clusters(clusters: ClusterSequence, min_pixels: int) -> ClusterSequence:
     """Keep clusters with at least min_pixels pixels, preserving order and ids.
 
-    From a ClusterSequence the result is a ClusterSequence whose label image, a
-    lookup table applied to the input's, holds only the kept clusters (or the
-    input itself if all are kept); so no dropped cluster is ever boxed. From
-    any other sequence the result is a list.
+    The result's label image, a lookup table applied to the input's, holds only
+    the kept clusters (or the result is the input itself if all are kept); so
+    no dropped cluster is ever boxed.
     """
     if min_pixels < 1:
         raise ValueError(f"min_pixels must be >= 1, got {min_pixels}")
-    if not isinstance(clusters, ClusterSequence):
-        return [c for c in clusters if c.pixel_count >= min_pixels]
     keep = clusters.sizes >= min_pixels
     if keep.all():
         return clusters

@@ -512,7 +512,7 @@ def _detection_trial(args):
         if not masks:  # every kept cluster is false; sizes suffice
             return True, int((cluster_sizes(binary) >= params.min_cluster_pixels).sum())
         kept = filter_clusters(black_clusters(binary), params.min_cluster_pixels)
-        summary = match_clusters(kept, (pre.width, pre.height), masks)
+        summary = match_clusters(kept, masks)
     return summary.all_detected, summary.false_clusters
 
 

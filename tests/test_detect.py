@@ -21,7 +21,6 @@ from percopick import (
     run_detection,
     run_detection_artifacts,
 )
-from percopick.percolation import Cluster
 
 
 def two_level_image(n=128, a=0.0, b=1.0, box=(40, 60, 20, 20)):
@@ -32,7 +31,7 @@ def two_level_image(n=128, a=0.0, b=1.0, box=(40, 60, 20, 20)):
     return Micrograph(pixels)
 
 
-def reference_match(clusters, dims, truth_masks):
+def reference_match(clusters, truth_masks):
     """Per-pixel reference matcher: (detected, false_clusters) from every
     pixel of every cluster looked up in every mask."""
     detected = [False] * len(truth_masks)
@@ -210,17 +209,6 @@ class TestMatchDetections:
         assert summary.detected == (True, True)
         assert summary.false_clusters == 0
 
-    def test_cluster_with_no_mask_is_false(self):
-        cluster = Cluster(
-            id=0,
-            pixel_count=4,
-            pixels=np.array([[0, 0], [0, 1], [1, 0], [1, 1]]),
-            bbox=(0, 0, 1, 1),
-        )
-        summary = match_clusters([cluster], (8, 8), [])
-        assert summary.detected == ()
-        assert summary.false_clusters == 1
-
     def test_undetected_particle_flagged(self):
         img = two_level_image()
         report = run_detection(img, self.PARAMS)
@@ -240,11 +228,8 @@ class TestMatchClustersProperty:
     @staticmethod
     def _check(bits, masks, min_pixels):
         kept = filter_clusters(black_clusters(BinaryImage(bits)), min_pixels)
-        dims = (bits.shape[1], bits.shape[0])
-        summary = match_clusters(kept, dims, masks)
-        assert (summary.detected, summary.false_clusters) == reference_match(kept, dims, masks)
-        # the same clusters as a plain list go through the painting path
-        assert match_clusters(list(kept), dims, masks) == summary
+        summary = match_clusters(kept, masks)
+        assert (summary.detected, summary.false_clusters) == reference_match(kept, masks)
         return summary
 
     def test_cluster_spanning_two_masks(self):

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from percopick import ImageParseError, Micrograph, read_image, write_image
 
@@ -131,15 +133,65 @@ def test_p2_bad_last_token_located_without_a_token_walk(tmp_path, last, message)
 
 def test_p2_error_location_follows_comments(tmp_path):
     path = tmp_path / "bad.pgm"
-    # the comment hides a token, so the scan runs out before the count
+    # a comment among the values is skipped, as in the header
     path.write_bytes(b"P2\n2 2\n255\n1 2 #c\n3 4")
-    with pytest.raises(ImageParseError, match="unexpected end of file") as err:
-        read_image(path)
-    assert (err.value.offset, err.value.line) == (21, 5)
+    assert read_image(path).pixels.tolist() == [[1, 2], [3, 4]]
+    path.write_bytes(b"P2 2 1 255 5#c\n6")
+    assert read_image(path).pixels.tolist() == [[5, 6]]
     path.write_bytes(b"P2\n3 1\n255\n1#\n#\n2 3 x")
     with pytest.raises(ImageParseError, match="trailing data") as err:
         read_image(path)
     assert (err.value.offset, err.value.line) == (20, 6)
+
+
+@pytest.mark.parametrize("values, bad", [
+    (b"%s 7" % (b"9" * 23), b"9" * 23),
+    (b"-%s 7" % (b"9" * 23), b"-" + b"9" * 23),
+    (b"300 %s" % (b"9" * 19), b"300"),  # an earlier value out of range comes first
+], ids=["huge", "huge-negative", "earlier-out-of-range"])
+def test_p2_token_beyond_int64_is_out_of_range(tmp_path, values, bad):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2 2 1 255\n" + values + b"\n")
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    assert str(err.value) == f"pixel value {bad.decode()} outside 0..255 (line 2, byte 11)"
+
+
+FUZZ_SEEDS = {
+    "pgm": [b"P2\n# c\n3 2\n255\n0 12 255\n7 8 9\n",
+            b"P2 3 2 255 0 12 255 # c\n7 8 9",
+            b"P5\n3 2\n255\n" + bytes([0, 12, 255, 7, 8, 9]),
+            b"P5 2 2 65535\n" + bytes([0, 1, 255, 255, 1, 0, 0, 7])],
+    "csv": [b"0.5,1,-2\n3e2,4.25,0\n"],
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt_seed=st.sampled_from([(f, i) for f, seeds in FUZZ_SEEDS.items()
+                                 for i in range(len(seeds))]),
+       edits=st.lists(st.tuples(st.sampled_from("rid"), st.integers(0, 10**6),
+                                st.binary(min_size=1, max_size=24)), max_size=4))
+@example(fmt_seed=("pgm", 0), edits=[("i", 15, b"9" * 23)])  # a value beyond int64
+@example(fmt_seed=("pgm", 0), edits=[("i", 16, b"#c\n")])  # a comment right after a value
+def test_mutated_files_parse_or_raise_image_parse_error(tmp_path, fmt_seed, edits):
+    fmt, i = fmt_seed
+    data = bytearray(FUZZ_SEEDS[fmt][i])
+    for op, pos, chunk in edits:  # replace, insert or delete at a position in the file
+        pos %= len(data) + 1
+        if op == "r":
+            data[pos : pos + len(chunk)] = chunk
+        elif op == "i":
+            data[pos:pos] = chunk
+        else:
+            del data[pos : pos + len(chunk)]
+    path = tmp_path / f"fuzz.{fmt}"
+    path.write_bytes(bytes(data))
+    try:
+        img = read_image(path)
+    except ImageParseError:
+        return
+    assert img.pixels.ndim == 2 and np.isfinite(img.pixels).all()
 
 
 def test_unknown_magic(tmp_path):

@@ -1,17 +1,46 @@
 """The traced benchmark run swaps layer functions at module attributes; each
-one it names must still exist, or a refactor silently breaks `--trace 1`."""
+one it names must still exist and still be called, or a refactor silently
+breaks `--trace 1`."""
 
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_patch_point_resolves_to_a_callable(monkeypatch):
+@pytest.fixture
+def perfbench(monkeypatch):
+    """The benchmark's tracing and workloads modules, freshly imported."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.delitem(sys.modules, "tracing", raising=False)
-    tracing = importlib.import_module("tracing")
+    for name in ("tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module("tracing"), importlib.import_module("workloads")
+
+
+def test_every_patch_point_resolves_to_a_callable(perfbench):
+    tracing, _ = perfbench
     assert tracing.PATCHES
     for module, attr, *_ in tracing.PATCHES:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("workload, spans", [
+    ("mc_detection", {"percolation.label", "detect.filter", "detect.match"}),
+    ("false_alarm", {"percolation.sizes"}),
+    ("consistency", {"image.integral"}),
+    ("micrograph", {"io.read", "detect.serialize"}),
+])
+def test_patch_points_fire_on_their_workload(perfbench, tmp_path, workload, spans):
+    tracing, workloads = perfbench
+    wl = workloads.WORKLOADS[workload](3, tmp_path, tiny=True)
+    wl.setup()
+    call, check = wl.unit_call(0)
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        out = call()
+    assert check(out) is None
+    fired = {name for name, *_ in tracer.spans}
+    assert spans <= fired, f"{workload} reached only {sorted(fired)}"
