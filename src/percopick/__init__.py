@@ -24,7 +24,6 @@ from .detect import (
     run_detection_artifacts,
 )
 from .image import (
-    IntegralImage,
     Micrograph,
     WindowStats,
     build_integral,

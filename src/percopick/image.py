@@ -1,9 +1,9 @@
-"""Pixel-grid primitives: micrographs, integral images, window sums.
+"""Pixel-grid primitives: micrographs, integral tables, window sums.
 
 All pixel data is 64-bit float. Pixel arrays are read-only and every
 operation returns a fresh image. The one thing an image gains after
-construction is its integral table, built on first use of
-`Micrograph.integral` and then kept, read-only, for every later scan of the
+construction is its integral table, a plain read-only float64 array built on
+first use of `Micrograph.integral` and then kept for every later scan of the
 same image. The table is a pure function of the pixels, so sharing an image
 across threads stays safe: a race on the first use at worst builds an equal
 table twice.
@@ -43,9 +43,9 @@ class Micrograph:
         return self.pixels.shape[1]
 
     @cached_property
-    def integral(self) -> IntegralImage:
+    def integral(self) -> np.ndarray:
         """The cumulative-sum table of the pixels, built once per image."""
-        return _build_integral(self)
+        return _cumulative_table(self.pixels)
 
 
 def _owned(a, dtype) -> np.ndarray:
@@ -63,19 +63,6 @@ def _adopt(px: np.ndarray) -> Micrograph:
     return Micrograph(px)
 
 
-@dataclass(frozen=True, eq=False)
-class IntegralImage:
-    """Cumulative-sum table: table[r, c] = sum of pixels in rows [0, r), cols [0, c).
-
-    The first row and column are zero, so any axis-aligned window sum is four
-    table lookups.
-    """
-
-    width: int
-    height: int
-    table: np.ndarray
-
-
 @dataclass(frozen=True)
 class WindowStats:
     """A square window's position, side length, pixel sum, and mean."""
@@ -87,31 +74,35 @@ class WindowStats:
     mean: float
 
 
-def build_integral(img: Micrograph) -> IntegralImage:
+def build_integral(img: Micrograph) -> np.ndarray:
     """The cumulative-sum table of an image: built on the first call, then shared."""
     return img.integral
 
 
-def _build_integral(img: Micrograph) -> IntegralImage:
-    """Build the cumulative-sum table of an image in one linear sweep."""
-    table = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
+def _cumulative_table(array: np.ndarray) -> np.ndarray:
+    """Read-only float64 table with table[r, c] = sum of array[:r, :c], in one
+    linear sweep. The first row and column are zero, so any axis-aligned window
+    sum is four table lookups."""
+    height, width = array.shape
+    table = np.zeros((height + 1, width + 1), dtype=np.float64)
     inner = table[1:, 1:]  # both running sums go straight into the table, no temporaries
-    np.cumsum(img.pixels, axis=0, out=inner)
+    np.cumsum(array, axis=0, out=inner)
     np.cumsum(inner, axis=1, out=inner)
     table.setflags(write=False)
-    return IntegralImage(width=img.width, height=img.height, table=table)
+    return table
 
 
-def window_sum(ii: IntegralImage, row: int, col: int, side: int) -> float:
+def window_sum(table: np.ndarray, row: int, col: int, side: int) -> float:
     """Sum of the side x side window with top-left corner (row, col)."""
+    height, width = table.shape[0] - 1, table.shape[1] - 1
     if side < 1:
         raise ValueError(f"window side must be >= 1, got {side}")
-    if row < 0 or col < 0 or row + side > ii.height or col + side > ii.width:
+    if row < 0 or col < 0 or row + side > height or col + side > width:
         raise ValueError(
             f"window (row={row}, col={col}, side={side}) not inside "
-            f"a {ii.width}x{ii.height} image"
+            f"a {width}x{height} image"
         )
-    corners = ii.table[row : row + side + 1 : side, col : col + side + 1 : side]
+    corners = table[row : row + side + 1 : side, col : col + side + 1 : side]
     return float(window_sums(corners, 1)[0, 0])
 
 

@@ -107,9 +107,10 @@ def label_black(image: BinaryImage) -> tuple[np.ndarray, int]:
     numbering, the one numbering of every label image in the package. Ids
     follow discovery order of a row-major scan: the cluster whose first pixel
     appears earliest gets id 0 and label 1 (a test pins scipy's order against
-    a depth-first reference).
+    a depth-first reference). labels is intp, so counting sizes with
+    np.bincount needs no copy.
     """
-    return ndimage.label(image.bits, structure=_TRI_STRUCTURE)
+    return ndimage.label(image.bits, structure=_TRI_STRUCTURE, output=np.intp)
 
 
 class ClusterSequence(Sequence):

@@ -37,7 +37,7 @@ def _check_side(img: Micrograph, side: int) -> None:
 
 def _extremal_window(img: Micrograph, side: int, take_max: bool) -> WindowStats:
     _check_side(img, side)
-    sums = window_sums(build_integral(img).table, side)
+    sums = window_sums(build_integral(img), side)
     # np.argmin/argmax return the first extremum in row-major order, which is
     # exactly the lexicographic (row, col) tie-break.
     flat = int(np.argmax(sums) if take_max else np.argmin(sums))

@@ -7,7 +7,9 @@ particle masks are pairwise disjoint, each contains a full phi1 x phi1
 square, and an explicitly placed phi0 x phi0 square is left noise-only.
 
 Monte Carlo trials derive per-trial seeds from (seed, trial_index), so
-results do not depend on scheduling and may be computed in parallel.
+results do not depend on scheduling and may be computed in parallel: with
+jobs > 1, each of at most min(jobs, trials) worker processes runs one
+contiguous range of trials, and the scene is pickled once per range.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .detect import (
     preprocess,
     run_detection_artifacts,
 )
-from .image import Micrograph, _adopt, build_integral, window_sums
+from .image import Micrograph, _adopt, _cumulative_table, window_sums
 from .percolation import binarize, black_clusters, bernoulli_field, cluster_sizes, filter_clusters
 from .scan import estimate_lower, naive_mean
 
@@ -192,8 +195,7 @@ def place_shape(n: int, shape: np.ndarray, row: int, col: int) -> np.ndarray:
 
 def _mask_counts(mask: np.ndarray, side: int) -> np.ndarray:
     """Mask pixels in every side x side window, by top-left corner (exact in float64)."""
-    ones = _adopt(np.asarray(mask, dtype=bool).astype(np.float64))
-    return window_sums(build_integral(ones).table, side)
+    return window_sums(_cumulative_table(np.asarray(mask, dtype=bool)), side)
 
 
 def mask_contains_square(mask: np.ndarray, side: int) -> bool:
@@ -434,18 +436,21 @@ class ConsistencyTable:
                       self.naive_median_abs_err) for r in self.rows])
 
 
-def _consistency_trial(args):
-    spec, noise, phi0_grid, seed, trial = args
+def _consistency_trial(spec, noise, phi0_grid, seed, trial):
     img, _ = generate_scene(spec, noise, [seed, trial])
     errs = [abs(estimate_lower(img, phi0) - spec.a) for phi0 in phi0_grid]
     return errs, abs(naive_mean(img) - spec.a)
 
 
-def _run_trials(worker, arg_list, jobs: int):
-    if jobs <= 1:
-        return [worker(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, arg_list, chunksize=max(1, len(arg_list) // (4 * jobs))))
+def _run_trials(trial, trials: int, jobs: int) -> list:
+    """[trial(t) for t in range(trials)]; each worker process runs one contiguous range."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    workers = min(jobs, trials)
+    if workers <= 1:
+        return [trial(t) for t in range(trials)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, range(trials), chunksize=-(-trials // workers)))
 
 
 def mc_consistency(
@@ -459,15 +464,9 @@ def mc_consistency(
     """Distribution of the background-estimate error per scan-window side,
     with the whole-image mean as the inconsistent baseline."""
     phi0_grid = [int(p) for p in phi0_grid]
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if not phi0_grid:
         raise ValueError("phi0_grid must not be empty")
-    results = _run_trials(
-        _consistency_trial,
-        [(spec, noise, phi0_grid, seed, t) for t in range(trials)],
-        jobs,
-    )
+    results = _run_trials(partial(_consistency_trial, spec, noise, phi0_grid, seed), trials, jobs)
     errs = np.array([r[0] for r in results])  # (trials, len(grid))
     naive = np.array([r[1] for r in results])
     rows = tuple(
@@ -501,8 +500,7 @@ class DetectionStats:
                       self.any_false_fraction, self.mean_false_clusters)])
 
 
-def _detection_trial(args):
-    spec, noise, params, seed, trial, theta = args
+def _detection_trial(spec, noise, params, theta, seed, trial):
     img, masks = generate_scene(spec, noise, [seed, trial])
     if theta is None:
         summary = match_detections(run_detection_artifacts(img, params).report, masks)
@@ -531,13 +529,8 @@ def mc_detection(
     step; passing a fixed theta skips estimation and thresholds directly,
     which is how pure-noise false-alarm experiments pin the black fraction.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    results = _run_trials(
-        _detection_trial,
-        [(spec, noise, params, seed, t, theta) for t in range(trials)],
-        jobs,
-    )
+    results = _run_trials(partial(_detection_trial, spec, noise, params, theta, seed),
+                          trials, jobs)
     all_detected = np.array([r[0] for r in results], dtype=bool)
     false_counts = np.array([r[1] for r in results], dtype=np.int64)
     n_particles = len(spec.particles)

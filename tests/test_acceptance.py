@@ -64,7 +64,7 @@ def test_criterion_1_oracle_equivalence():
             pixels = np.floor(pixels * 9) / 8.0
         img = Micrograph(pixels)
         ii = build_integral(img)
-        t = ii.table
+        t = ii
         for side in range(1, min(h, w) + 1):
             brute = sliding_window_view(pixels, (side, side)).sum(axis=(2, 3))
             via_table = (

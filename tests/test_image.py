@@ -72,23 +72,23 @@ class TestMicrograph:
 class TestIntegralImage:
     def test_2x2_full_sum(self):
         ii = build_integral(Micrograph([[1, 2], [3, 4]]))
-        assert ii.table[2][2] == 10
+        assert ii[2][2] == 10
 
     def test_1x1(self):
         ii = build_integral(Micrograph([[5]]))
-        assert ii.table[1][1] == 5
+        assert ii[1][1] == 5
 
     def test_zero_row_and_column(self):
         ii = build_integral(Micrograph(np.arange(12.0).reshape(3, 4)))
-        assert np.all(ii.table[0, :] == 0)
-        assert np.all(ii.table[:, 0] == 0)
+        assert np.all(ii[0, :] == 0)
+        assert np.all(ii[:, 0] == 0)
 
     def test_table_built_once_and_shared(self):
         img = Micrograph(np.arange(12.0).reshape(3, 4))
         ii = build_integral(img)
         assert build_integral(img) is ii
         assert img.integral is ii
-        assert not ii.table.flags.writeable
+        assert not ii.flags.writeable
 
     def test_matches_brute_force_partial_sums(self):
         rng = np.random.default_rng(20160)
@@ -96,7 +96,7 @@ class TestIntegralImage:
         ii = build_integral(Micrograph(pixels))
         for r in range(17):
             for c in range(17):
-                assert ii.table[r, c] == pytest.approx(
+                assert ii[r, c] == pytest.approx(
                     brute_partial_sum(pixels, r, c), abs=1e-9
                 )
 
@@ -128,7 +128,7 @@ class TestWindowSum:
     def test_window_sums_match_brute_force_for_every_side(self):
         rng = np.random.default_rng(711)
         pixels = rng.random((7, 11))
-        table = build_integral(Micrograph(pixels)).table
+        table = build_integral(Micrograph(pixels))
         for side in range(1, 8):
             sums = window_sums(table, side)
             assert sums.shape == (8 - side, 12 - side)

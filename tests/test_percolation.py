@@ -5,6 +5,8 @@ explicit-stack depth-first search over tri_neighbors, seeded in row-major
 order. The two must produce identical partitions and identical ids.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,17 @@ class TestBlackClusters:
         clusters = black_clusters(BinaryImage(bits))
         sizes = cluster_sizes(BinaryImage(bits))
         assert sizes.tolist() == [c.pixel_count for c in clusters]
+
+    def test_sizes_counted_without_copying_the_labels(self):
+        # the 8-byte label image itself, and no second frame-size array to count it
+        field = bernoulli_field(512, 512, 0.45, 15)
+        tracemalloc.start()
+        try:
+            black_clusters(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 8 * 512 * 512
 
 
 class TestFilterClusters:

@@ -3,10 +3,13 @@ Monte Carlo harnesses at quick desk scale."""
 
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from percopick import synth
 from percopick import (
     DetectParams,
     SceneSpec,
@@ -440,6 +443,78 @@ class TestMcDetection:
         serial = mc_detection(spec, noise, self.PARAMS, trials=8, seed=4, jobs=1)
         parallel = mc_detection(spec, noise, self.PARAMS, trials=8, seed=4, jobs=2)
         assert serial == parallel
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor: records how it was asked to run, and
+    runs the trials in this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunksize = None
+        FakeExecutor.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, iterable)
+
+
+def _pid(trial):
+    return os.getpid()
+
+
+class TestRunTrials:
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        FakeExecutor.made = []
+        monkeypatch.setattr(synth, "ProcessPoolExecutor", FakeExecutor)
+        return FakeExecutor.made
+
+    @pytest.mark.parametrize("jobs,trials,workers,chunksize",
+                             [(64, 3, 3, 1), (2, 5, 2, 3), (2, 4, 2, 2), (3, 7, 3, 3)])
+    def test_one_contiguous_range_per_worker(self, fake_pool, jobs, trials, workers,
+                                             chunksize):
+        assert synth._run_trials(lambda t: t * t, trials, jobs) == [t * t for t in range(trials)]
+        assert [(p.max_workers, p.chunksize) for p in fake_pool] == [(workers, chunksize)]
+
+    @pytest.mark.parametrize("jobs,trials", [(1, 5), (0, 5), (4, 1)])
+    def test_one_worker_runs_in_process(self, fake_pool, jobs, trials):
+        assert synth._run_trials(lambda t: t, trials, jobs) == list(range(trials))
+        assert fake_pool == []
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_checked_before_any_work(self, fake_pool, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            synth._run_trials(_pid, trials, 2)
+        assert fake_pool == []
+
+    def test_each_range_runs_in_one_process(self):
+        pids = synth._run_trials(_pid, 6, 2)
+        assert os.getpid() not in pids
+        assert len(set(pids[:3])) == 1 and len(set(pids[3:])) == 1
+
+    def test_harnesses_check_trials(self):
+        spec = simple_scene()
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mc_consistency(spec, UniformNoise(0.1), [8], trials=0, seed=0, jobs=2)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mc_detection(spec, UniformNoise(0.1), TestMcDetection.PARAMS, trials=0, seed=0)
+
+    def test_failed_parallel_trial_leaves_no_worker(self):
+        spec = simple_scene(n=64, phi0=16, boxes=((40, 40, 12),))
+        params = DetectParams(phi0=128, phi1=8, min_cluster_pixels=30,
+                              downsample_passes=0, normalize=False)
+        with pytest.raises(ValueError, match="smaller than the largest scan window"):
+            mc_detection(spec, UniformNoise(0.1), params, trials=4, seed=0, jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestPercolationPhase:
