@@ -13,7 +13,6 @@ invocations on identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -29,7 +28,6 @@ from .detect import (
 )
 from .image import Micrograph
 from .io import (
-    ImageParseError,
     atomic_write_bytes,
     read_image,
     write_binary_image,
@@ -284,15 +282,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _CliError as exc:
-        print(f"percopick: error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
     except DegenerateEstimatesError as exc:
         print(f"percopick: error: {exc}", file=sys.stderr)
         return 2
-    except (ImageParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (_CliError, ValueError, OSError, KeyError) as exc:
         print(f"percopick: error: {exc}", file=sys.stderr)
         return 1
 

@@ -72,24 +72,23 @@ def _blank_comments(body: bytes) -> bytes:
     return re.sub(rb"#[^\n]*", lambda m: b" " * (m.end() - m.start()), body)
 
 
-def _seek_pixel(sc: _PgmScanner, index: int) -> None:
-    """Move the scanner so that its next token is token `index` from here on,
-    or to the end of the data if there are fewer, without walking the tokens."""
-    sep = _IS_WHITESPACE[np.frombuffer(_blank_comments(sc.data[sc.pos :]), np.uint8)]
-    starts = np.flatnonzero(~sep & np.r_[True, sep[:-1]])
-    sc.pos = sc.pos + int(starts[index]) if index < starts.size else len(sc.data)
+def _token_start(body: bytes, index: int) -> int:
+    """Offset of token `index` in a body whose comments are already blanked."""
+    sep = _IS_WHITESPACE[np.frombuffer(body, np.uint8)]
+    return int(np.flatnonzero(~sep & np.r_[True, sep[:-1]])[index])
 
 
-def _first_rejected(tokens: list[bytes], maxval: int) -> int:
-    """Index of the first token _PgmScanner.next_int rejects as a pixel value
-    (not an integer, or outside 0..maxval), else len(tokens)."""
+def _first_rejected(tokens: list[bytes], count: int, maxval: int) -> tuple[int, str]:
+    """(index, message) of the first token that is not one of `count` pixel
+    values in 0..maxval; the caller knows that such a token exists."""
+    if len(tokens) > count:
+        return count, "trailing data after pixel values"
     for i, tok in enumerate(tokens):
         try:
             if not 0 <= int(tok) <= maxval:
-                return i
+                return i, f"pixel value {tok.decode('ascii', 'replace')} outside 0..{maxval}"
         except ValueError:
-            return i
-    return len(tokens)
+            return i, f"non-numeric token {tok!r} for pixel value"
 
 
 def _read_pgm(data: bytes) -> Micrograph:
@@ -103,30 +102,22 @@ def _read_pgm(data: bytes) -> Micrograph:
     count = width * height
 
     if magic == b"P2":
-        tokens = _blank_comments(data[sc.pos :]).split()  # the tokens _PgmScanner reads
+        body = _blank_comments(data[sc.pos :])
+        tokens = body.split()  # the tokens _PgmScanner reads
         if len(tokens) < count:
             raise ImageParseError(
                 f"expected {count} pixel values, found {len(tokens)}",
                 offset=len(data),
                 line=data.count(b"\n", 0, len(data) - 1) + 1,  # line of the last byte
             )
-        if len(tokens) > count:
-            _seek_pixel(sc, count)  # the first extra token
-            _, extra = sc.next_token("pixel value")
-            raise sc.error("trailing data after pixel values", extra)
         try:
             values = np.array(tokens, dtype=np.int64)
-        except ValueError:  # a token that is no integer; the scanner names the first bad one
-            _seek_pixel(sc, _first_rejected(tokens, maxval))
-            sc.next_int("pixel value", 0, maxval)  # raises: this token is bad
-        except OverflowError:  # a token beyond int64; it and any earlier bad one are out of range
-            values = None
-        if values is None or values.min() < 0 or values.max() > maxval:
-            _seek_pixel(sc, _first_rejected(tokens, maxval))
-            tok, off = sc.next_token("pixel value")
-            value = tok.decode("ascii", "replace")
-            raise sc.error(f"pixel value {value} outside 0..{maxval}", off)
-        return _adopt(values.reshape(height, width).astype(np.float64))
+            if len(tokens) == count and values.min() >= 0 and values.max() <= maxval:
+                return _adopt(values.reshape(height, width).astype(np.float64))
+        except (ValueError, OverflowError):  # a token that is no int64
+            pass
+        index, message = _first_rejected(tokens, count, maxval)
+        raise sc.error(message, sc.pos + _token_start(body, index))
 
     # P5: exactly one separator byte between maxval and the payload
     if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WHITESPACE:

@@ -307,15 +307,23 @@ def _object(doc, what: str) -> dict:
 
 
 def _field(doc: dict, key: str, convert=float):
-    """convert(doc[key]); a value of the wrong type is a ValueError naming the field."""
+    """convert(doc[key]); a missing or malformed value is a ValueError naming the field."""
+    if key not in doc:
+        raise ValueError(f"scene field {key!r} is missing")
     try:
         return convert(doc[key])
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"scene field {key!r} is malformed: {exc}") from None
 
 
+def _corner(corner) -> tuple[int, int]:
+    if not isinstance(corner, (list, tuple)) or len(corner) != 2:
+        raise ValueError("expected [row, col]")
+    return int(corner[0]), int(corner[1])
+
+
 def noise_from_dict(doc: dict) -> NoiseModel:
-    kind = _object(doc, "noise").get("kind")
+    kind = _field(_object(doc, "noise"), "kind", str)
     if kind == "uniform":
         return UniformNoise(half_width=_field(doc, "half_width"))
     if kind == "truncated_gaussian":
@@ -335,11 +343,11 @@ def scene_from_dict(doc: dict) -> tuple[SceneSpec, NoiseModel]:
     masks = []
     for i, sh in enumerate(_field(doc, "shapes", list) if "shapes" in doc else []):
         sh = _object(sh, f"shapes[{i}]")
-        mask = shape_library(str(sh["kind"]), _field(sh, "size", int))
+        mask = shape_library(_field(sh, "kind", str), _field(sh, "size", int))
         masks.append(place_shape(n, mask, _field(sh, "row", int), _field(sh, "col", int)))
     phi0 = _field(doc, "phi0", int)
     if "noise_square" in doc:
-        r0, c0 = _field(doc, "noise_square", lambda corner: [int(v) for v in corner])
+        r0, c0 = _field(doc, "noise_square", _corner)
     else:
         r0, c0 = find_clear_square(n, masks, phi0)
     spec = SceneSpec(
@@ -351,7 +359,7 @@ def scene_from_dict(doc: dict) -> tuple[SceneSpec, NoiseModel]:
         noise_square_side=phi0,
         min_particle_square=_field(doc, "phi1", int),
     )
-    return spec, noise_from_dict(doc["noise"])
+    return spec, noise_from_dict(_field(doc, "noise", lambda noise: noise))
 
 
 def load_scene(path) -> tuple[SceneSpec, NoiseModel]:

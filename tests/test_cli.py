@@ -128,11 +128,18 @@ SCENE_DOC = {
     (dict(SCENE_DOC, noise_square=3), "'noise_square'"),
     (dict(SCENE_DOC, noise={"kind": "uniform", "half_width": None}), "'half_width'"),
     (dict(SCENE_DOC, phi0=0), "square side 0 outside 1..64"),
+    ({k: v for k, v in SCENE_DOC.items() if k != "n"}, "scene field 'n' is missing"),
+    (dict(SCENE_DOC, n="abc"), "scene field 'n' is malformed"),
+    (dict(SCENE_DOC, noise_square=[1]), "scene field 'noise_square' is malformed"),
+    (dict(SCENE_DOC, n=1e400), "scene field 'n' is malformed"),
+    (dict(SCENE_DOC, noise={"half_width": 0.1}), "scene field 'kind' is missing"),
+    ("{not json", "Expecting property name"),
 ], ids=["top_level_list", "shapes_int", "shape_int", "noise_str", "noise_square_int",
-        "half_width_null", "phi0_zero"])
+        "half_width_null", "phi0_zero", "n_missing", "n_str", "noise_square_short",
+        "n_overflow", "noise_kind_missing", "not_json"])
 def test_malformed_scene_exits_1_with_one_line(doc, named, tmp_path, capsys):
     scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(doc))
+    scene.write_text(doc if isinstance(doc, str) else json.dumps(doc))  # a str is raw text
     code = main(["synth", "--scene", str(scene), "--out", str(tmp_path / "out.csv")])
     assert code == 1
     err = capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from percopick import ImageParseError, Micrograph, read_image, write_image
 
@@ -148,7 +149,8 @@ def test_p2_error_location_follows_comments(tmp_path):
     (b"%s 7" % (b"9" * 23), b"9" * 23),
     (b"-%s 7" % (b"9" * 23), b"-" + b"9" * 23),
     (b"300 %s" % (b"9" * 19), b"300"),  # an earlier value out of range comes first
-], ids=["huge", "huge-negative", "earlier-out-of-range"])
+    (b"300 x", b"300"),  # ... also before a token that is no integer
+], ids=["huge", "huge-negative", "earlier-out-of-range", "out-of-range-before-non-numeric"])
 def test_p2_token_beyond_int64_is_out_of_range(tmp_path, values, bad):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2 2 1 255\n" + values + b"\n")
@@ -192,6 +194,38 @@ def test_mutated_files_parse_or_raise_image_parse_error(tmp_path, fmt_seed, edit
     except ImageParseError:
         return
     assert img.pixels.ndim == 2 and np.isfinite(img.pixels).all()
+
+
+ROUND_TRIP = settings(max_examples=60, deadline=None, derandomize=True,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+SHAPES = array_shapes(min_dims=2, max_dims=2, max_side=16)
+
+
+@ROUND_TRIP
+@given(maxval=st.sampled_from([1, 255, 256, 65535]), binary=st.booleans(), data=st.data())
+def test_pgm_write_read_round_trip_property(tmp_path, maxval, binary, data):
+    pixels = data.draw(arrays(np.float64, SHAPES, elements=st.integers(0, maxval)))
+    path = tmp_path / "x.pgm"
+    write_image(Micrograph(pixels), path, maxval=maxval, binary=binary)
+    assert np.array_equal(read_image(path).pixels, pixels)
+
+
+@ROUND_TRIP
+@given(pixels=arrays(np.float64, SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_round_trip_is_bit_identical_property(tmp_path, pixels):
+    path = tmp_path / "x.csv"
+    write_image(Micrograph(pixels), path)
+    assert read_image(path).pixels.tobytes() == pixels.tobytes()  # -0.0 stays -0.0
+
+
+@ROUND_TRIP
+@given(bits=arrays(bool, SHAPES))
+def test_binary_image_round_trip_property(tmp_path, bits):
+    from percopick import BinaryImage, read_binary_image, write_binary_image
+
+    path = tmp_path / "bin.pgm"
+    write_binary_image(BinaryImage(bits), path)
+    assert np.array_equal(read_binary_image(path).bits, bits)
 
 
 def test_unknown_magic(tmp_path):

@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from percopick import synth
 from percopick import (
@@ -289,6 +291,42 @@ class TestSceneJson:
                    shapes=[{"kind": "square", "size": 8, "row": 6, "col": 6}])
         with pytest.raises(ValueError, match="no noise-only square"):
             scene_from_dict(doc)
+
+
+SCENE_FIELDS = {
+    None: ["n", "a", "b", "phi0", "phi1", "shapes", "noise", "noise_square"],
+    "shape": ["kind", "size", "row", "col"],
+    "noise": ["kind", "half_width", "sigma_raw", "bound"],
+}
+BAD_VALUES = [None, "x", "12", [1], [1, 2, 3], 1e400, -1e400, math.nan]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(noise=st.sampled_from([{"kind": "uniform", "half_width": 0.15},
+                              {"kind": "truncated_gaussian", "sigma_raw": 0.1, "bound": 0.2}]),
+       noise_square=st.sampled_from([None, [0, 40]]),
+       edits=st.lists(st.tuples(st.sampled_from([(where, key) for where, keys in SCENE_FIELDS.items()
+                                                 for key in keys]),
+                                st.sampled_from(["drop"] + BAD_VALUES)),
+                      min_size=1, max_size=3))
+@example(noise={"kind": "uniform", "half_width": 0.15}, noise_square=None,
+         edits=[((None, "n"), 1e400)])
+def test_scene_documents_build_or_raise_value_error(noise, noise_square, edits):
+    shape, noise = dict(TestSceneJson.DOC["shapes"][0]), dict(noise)
+    doc = dict(TestSceneJson.DOC, shapes=[shape], noise=noise)
+    if noise_square is not None:
+        doc["noise_square"] = noise_square
+    targets = {None: doc, "shape": shape, "noise": noise}
+    for (where, key), value in edits:
+        if value == "drop":
+            targets[where].pop(key, None)
+        else:
+            targets[where][key] = value
+    try:
+        spec, noise_model = scene_from_dict(doc)
+    except ValueError:
+        return
+    assert isinstance(spec, SceneSpec) and noise_model is not None
 
 
 class TestFindClearSquare:
