@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .detect import (
     DegenerateEstimatesError,
     DetectParams,
@@ -132,18 +130,15 @@ def _cmd_detect(args) -> int:
 
 def _cmd_synth(args) -> int:
     spec, noise = load_scene(args.scene)
-    img, masks = generate_scene(spec, noise, args.seed)
+    img, truth = generate_scene(spec, noise, args.seed)
     if args.out.lower().endswith(".pgm"):
         scaled = Micrograph(img.pixels * args.pgm_maxval)
         write_image(scaled, args.out, format="pgm", maxval=args.pgm_maxval)
     else:
         write_image(img, args.out, format="csv")
     if args.truth_out is not None:
-        union = np.zeros((spec.n, spec.n), dtype=bool)
-        for m in masks:
-            union |= m
-        write_binary_image(BinaryImage(union), args.truth_out)
-    print(f"wrote {spec.n}x{spec.n} scene with {len(masks)} particle(s) to {args.out}")
+        write_binary_image(BinaryImage(truth > 0), args.truth_out)
+    print(f"wrote {spec.n}x{spec.n} scene with {truth.max()} particle(s) to {args.out}")
     return 0
 
 

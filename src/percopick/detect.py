@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,11 @@ class DetectionArtifacts:
     report: DetectionReport
     preprocessed: Micrograph
     binary: BinaryImage
-    kept_binary: BinaryImage
+
+    @cached_property
+    def kept_binary(self) -> BinaryImage:
+        """The kept clusters as a picture, built on the first read."""
+        return _adopt_bits(self.report.clusters_kept.labels > 0)
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,7 @@ def run_detection_artifacts(img: Micrograph, params: DetectParams) -> DetectionA
     report = DetectionReport(estimates=estimates, theta=theta, clusters_kept=kept,
                              clusters_total=len(clusters), decision=decision, params=params,
                              image_dims=(pre.width, pre.height))
-    return DetectionArtifacts(report=report, preprocessed=pre, binary=binary,
-                              kept_binary=_adopt_bits(kept.labels > 0))
+    return DetectionArtifacts(report=report, preprocessed=pre, binary=binary)
 
 
 def run_detection(img: Micrograph, params: DetectParams) -> DetectionReport:
@@ -134,35 +138,31 @@ def run_detection(img: Micrograph, params: DetectParams) -> DetectionReport:
     return run_detection_artifacts(img, params).report
 
 
-def match_clusters(clusters: ClusterSequence, truth_masks) -> MatchSummary:
-    """Match kept clusters against ground-truth particle masks.
+def match_clusters(clusters: ClusterSequence, truth) -> MatchSummary:
+    """Match kept clusters against a ground-truth label image.
 
-    A particle counts as detected when some kept cluster intersects its mask;
-    clusters can legitimately merge over several particles. A kept cluster
-    intersecting no mask is a false cluster. The overlaps are one count of
-    (cluster label, truth id) pairs over the clusters' label image, whose
-    shape every mask must have.
+    truth holds i + 1 on the pixels of particle i and 0 elsewhere, as
+    SceneSpec.truth does, so there are truth.max() particles; its shape must
+    be that of the clusters' label image. A particle counts as detected when
+    some kept cluster intersects it; clusters can legitimately merge over
+    several particles. A kept cluster intersecting no particle is a false
+    cluster. The overlaps are one count of (cluster label, truth label) pairs.
     """
-    kept = clusters.labels
+    kept, truth = clusters.labels, np.asarray(truth)
+    if truth.shape != kept.shape:
+        raise ValueError(f"truth image has shape {truth.shape}, expected {kept.shape}")
     on = np.flatnonzero(kept)  # pixels off the kept clusters make no pair that counts
-    masks = list(truth_masks)
-    truth = np.zeros(on.size, dtype=np.intp)  # at those pixels: i + 1 on mask i, else 0
-    for i, mask in enumerate(masks):
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != kept.shape:
-            raise ValueError(f"truth mask {i} has shape {m.shape}, expected {kept.shape}")
-        truth[m.ravel()[on]] = i + 1
-    t = len(masks) + 1
-    pairs = np.bincount(kept.ravel()[on].astype(np.intp) * t + truth,
+    t = int(truth.max(initial=0)) + 1
+    pairs = np.bincount(kept.ravel()[on].astype(np.intp) * t + truth.ravel()[on],
                         minlength=(len(clusters) + 1) * t)
     hits = pairs.reshape(-1, t)[1:, 1:] > 0  # row: kept cluster, column: particle
     return MatchSummary(detected=tuple(hits.any(axis=0).tolist()),
                         false_clusters=int(np.count_nonzero(~hits.any(axis=1))))
 
 
-def match_detections(report: DetectionReport, truth_masks) -> MatchSummary:
-    """Match a report's kept clusters against ground-truth masks (see match_clusters)."""
-    return match_clusters(report.clusters_kept, truth_masks)
+def match_detections(report: DetectionReport, truth) -> MatchSummary:
+    """Match a report's kept clusters against a truth label image (see match_clusters)."""
+    return match_clusters(report.clusters_kept, truth)
 
 
 def fmt6(x: float) -> str:

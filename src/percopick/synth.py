@@ -4,7 +4,8 @@ Scenes follow the additive model: every pixel is the background intensity a,
 or the particle intensity b > a on a particle mask, plus i.i.d. mean-zero
 noise bounded by M. Scene construction enforces the model premises up front:
 particle masks are pairwise disjoint, each contains a full phi1 x phi1
-square, and an explicitly placed phi0 x phi0 square is left noise-only.
+square, and an explicitly placed phi0 x phi0 square is left noise-only. The
+masks are then carried as one truth label image.
 
 Monte Carlo trials derive per-trial seeds from (seed, trial_index), so
 results do not depend on scheduling and may be computed in parallel: with
@@ -18,10 +19,11 @@ import abc
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
+from scipy import ndimage
 
 from .detect import (
     DetectParams,
@@ -44,7 +46,8 @@ class NoiseModel(abc.ABC):
     """Mean-zero i.i.d. noise, symmetric about 0, with |eps| <= bound a.s.
 
     Subclasses expose `bound` (the almost-sure bound M), `variance`, and a
-    seeded vectorized `sample`.
+    seeded vectorized `sample` that returns a fresh float64 array, which
+    generate_scene adds the scene's levels into.
     """
 
     @property
@@ -214,22 +217,26 @@ def mask_contains_square(mask: np.ndarray, side: int) -> bool:
 class SceneSpec:
     """Ground truth for a synthetic scene.
 
-    particles are full-frame boolean masks. noise_square is the top-left
-    corner of the guaranteed noise-only square of side noise_square_side;
-    its existence is a hard model premise, so it is validated here rather
-    than trusted. Every particle must contain a full min_particle_square
-    square (the premise behind the particle-intensity scan window).
+    particles, full-frame boolean masks, are read once at construction and
+    stamped into truth, a read-only int32 label image: i + 1 on the pixels of
+    particle i, 0 off the particles. No per-particle array is kept. The masks
+    must be pairwise disjoint, and each must contain a full
+    min_particle_square square of its own pixels (the premise behind the
+    particle-intensity scan window). noise_square is the top-left corner of
+    the guaranteed noise-only square of side noise_square_side; its existence
+    is a hard model premise, so it is validated here rather than trusted.
     """
 
     n: int
     a: float
     b: float
-    particles: tuple[np.ndarray, ...]
+    particles: InitVar[tuple[np.ndarray, ...]]
     noise_square: tuple[int, int]
     noise_square_side: int
     min_particle_square: int
+    truth: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, particles):
         if self.n < 1:
             raise ValueError(f"scene side must be >= 1, got {self.n}")
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
@@ -243,47 +250,48 @@ class SceneSpec:
                 f"noise square at {self.noise_square} with side {s} "
                 f"does not fit an {self.n}x{self.n} frame"
             )
-        masks = []
-        coverage = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, mask in enumerate(self.particles):
-            m = np.array(mask, dtype=bool, copy=True)
-            if m.shape != (self.n, self.n):
+        truth = np.zeros((self.n, self.n), dtype=np.int32)
+        flat = truth.reshape(-1)
+        particles = tuple(particles)
+        for i, mask in enumerate(particles):
+            m = np.asarray(mask, dtype=bool)
+            if m.shape != truth.shape:
                 raise ValueError(
-                    f"particle mask {i} has shape {m.shape}, expected {(self.n, self.n)}"
+                    f"particle mask {i} has shape {m.shape}, expected {truth.shape}"
                 )
-            if not mask_contains_square(m, self.min_particle_square):
-                raise ValueError(
-                    f"particle mask {i} contains no full "
-                    f"{self.min_particle_square}x{self.min_particle_square} square"
-                )
-            coverage += m
-            m.setflags(write=False)
-            masks.append(m)
-        if (coverage > 1).any():
-            raise ValueError("particle masks overlap")
-        if coverage[r0 : r0 + s, c0 : c0 + s].any():
+            on = np.flatnonzero(m)
+            if flat[on].any():
+                raise ValueError("particle masks overlap")
+            flat[on] = i + 1
+        side = self.min_particle_square
+        for i, box in enumerate(ndimage.find_objects(truth, max_label=len(particles))):
+            if box is None or not mask_contains_square(truth[box] == i + 1, side):
+                raise ValueError(f"particle mask {i} contains no full {side}x{side} square")
+        if truth[r0 : r0 + s, c0 : c0 + s].any():
             raise ValueError(
                 f"guaranteed noise square at {self.noise_square} intersects a particle"
             )
-        object.__setattr__(self, "particles", tuple(masks))
+        truth.setflags(write=False)
+        object.__setattr__(self, "truth", truth)
 
     @property
     def truth_image(self) -> np.ndarray:
-        base = np.full((self.n, self.n), self.a, dtype=np.float64)
-        for m in self.particles:
-            base[m] = self.b
-        return base
+        """The two-level image: b on the particles, a elsewhere."""
+        return np.where(self.truth > 0, float(self.b), float(self.a))
 
 
-def generate_scene(
-    spec: SceneSpec, noise: NoiseModel, seed
-) -> tuple[Micrograph, tuple[np.ndarray, ...]]:
+def generate_scene(spec: SceneSpec, noise: NoiseModel, seed) -> tuple[Micrograph, np.ndarray]:
     """Render the two-level truth image plus i.i.d. noise; reproducible from seed.
 
-    Returns the noisy micrograph and the ground-truth particle masks.
+    Returns the noisy micrograph and the scene's truth label image, spec.truth.
+    The levels are added into the freshly drawn noise in place.
     """
     rng = np.random.default_rng(seed)
-    return _adopt(spec.truth_image + noise.sample(rng, (spec.n, spec.n))), spec.particles
+    pixels = noise.sample(rng, (spec.n, spec.n))
+    on = spec.truth > 0
+    np.add(pixels, spec.b, out=pixels, where=on)
+    np.add(pixels, spec.a, out=pixels, where=~on)
+    return _adopt(pixels), spec.truth
 
 
 def find_clear_square(n: int, particles, side: int) -> tuple[int, int]:
@@ -508,17 +516,17 @@ class DetectionStats:
                       self.any_false_fraction, self.mean_false_clusters)])
 
 
-def _detection_trial(spec, noise, params, theta, seed, trial):
-    img, masks = generate_scene(spec, noise, [seed, trial])
+def _detection_trial(spec, noise, params, theta, pure_noise, seed, trial):
+    img, truth = generate_scene(spec, noise, [seed, trial])
     if theta is None:
-        summary = match_detections(run_detection_artifacts(img, params).report, masks)
+        summary = match_detections(run_detection_artifacts(img, params).report, truth)
     else:
         pre = preprocess(img, params)
         binary = binarize(pre, theta)
-        if not masks:  # every kept cluster is false; sizes suffice
+        if pure_noise:  # every kept cluster is false; sizes suffice
             return True, int((cluster_sizes(binary) >= params.min_cluster_pixels).sum())
         kept = filter_clusters(black_clusters(binary), params.min_cluster_pixels)
-        summary = match_clusters(kept, masks)
+        summary = match_clusters(kept, truth)
     return summary.all_detected, summary.false_clusters
 
 
@@ -537,11 +545,11 @@ def mc_detection(
     step; passing a fixed theta skips estimation and thresholds directly,
     which is how pure-noise false-alarm experiments pin the black fraction.
     """
-    results = _run_trials(partial(_detection_trial, spec, noise, params, theta, seed),
-                          trials, jobs)
+    n_particles = int(spec.truth.max())
+    results = _run_trials(partial(_detection_trial, spec, noise, params, theta,
+                                  n_particles == 0, seed), trials, jobs)
     all_detected = np.array([r[0] for r in results], dtype=bool)
     false_counts = np.array([r[1] for r in results], dtype=np.int64)
-    n_particles = len(spec.particles)
     return DetectionStats(
         trials=trials,
         n_particles=n_particles,
@@ -571,28 +579,23 @@ class PhaseTable:
                      for r in self.rows])
 
 
+def _phase_trial(n, p_values, seed, trial):
+    """One row per site probability for one trial of percolation_phase."""
+    rows = []
+    for pi, p in enumerate(p_values):
+        sizes = cluster_sizes(bernoulli_field(n, n, p, [seed, pi, trial]))
+        largest = int(sizes.max()) if sizes.size else 0
+        rows.append(PhaseRow(p=p, trial=trial, largest_cluster=largest,
+                             largest_fraction=largest / (n * n), n_clusters=int(sizes.size)))
+    return rows
+
+
 def percolation_phase(n: int, p_values, trials: int, seed: int) -> PhaseTable:
     """Largest-cluster statistics of seeded Bernoulli fields, one row per trial.
 
     The contrast between p below and above 1/2 is the mechanism that keeps
     noise clusters small while particle interiors grow a giant cluster.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rows = []
-    sites = n * n
-    for pi, p in enumerate(p_values):
-        for t in range(trials):
-            field = bernoulli_field(n, n, float(p), [seed, pi, t])
-            sizes = cluster_sizes(field)
-            largest = int(sizes.max()) if sizes.size else 0
-            rows.append(
-                PhaseRow(
-                    p=float(p),
-                    trial=t,
-                    largest_cluster=largest,
-                    largest_fraction=largest / sites,
-                    n_clusters=int(sizes.size),
-                )
-            )
-    return PhaseTable(n=n, rows=tuple(rows))
+    p_values = [float(p) for p in p_values]
+    results = _run_trials(partial(_phase_trial, n, p_values, seed), trials, 1)
+    return PhaseTable(n=n, rows=tuple(row for per_p in zip(*results) for row in per_p))

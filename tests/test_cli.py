@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -215,6 +216,33 @@ def test_synth_csv_and_truth(scene_json, tmp_path):
     out2 = tmp_path / "scene2.csv"
     main(["synth", "--scene", str(scene_json), "--seed", "5", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+# sha256 of `percopick synth --seed 3` outputs for the scene below
+SYNTH_DOC = {
+    "n": 96, "a": 0.2, "b": 0.8, "phi0": 24, "phi1": 6,
+    "shapes": [{"kind": "l_shape", "size": 16, "row": 50, "col": 10},
+               {"kind": "disc", "size": 8, "row": 50, "col": 60},
+               {"kind": "annulus_gap", "size": 12, "row": 4, "col": 60}],
+    "noise": {"kind": "uniform", "half_width": 0.15},
+}
+GOLDEN_SYNTH = {
+    "img.pgm": "72e9f45a2b3f1f9f5f61f319abd15d41456685d037fd1a5f2f2d1267b85029bd",
+    "truth.pgm": "69509753f3cc1451b2af5567e7ea6e51b0b479dfa953ff0603971787d4d17fcc",
+}
+
+
+def test_synth_outputs_match_golden_hashes(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(SYNTH_DOC))
+    outs = {name: tmp_path / name for name in GOLDEN_SYNTH}
+    code = main(["synth", "--scene", str(scene), "--seed", "3", "--out", str(outs["img.pgm"]),
+                 "--truth-out", str(outs["truth.pgm"])])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out == f"wrote 96x96 scene with 3 particle(s) to {outs['img.pgm']}\n"
+    got = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in outs.items()}
+    assert got == GOLDEN_SYNTH
 
 
 def test_synth_pgm_scaled(scene_json, tmp_path):

@@ -31,19 +31,23 @@ def two_level_image(n=128, a=0.0, b=1.0, box=(40, 60, 20, 20)):
     return Micrograph(pixels)
 
 
-def reference_match(clusters, truth_masks):
+def reference_match(clusters, truth):
     """Per-pixel reference matcher: (detected, false_clusters) from every
-    pixel of every cluster looked up in every mask."""
-    detected = [False] * len(truth_masks)
+    pixel of every cluster looked up in the truth label image."""
+    detected = [False] * int(truth.max(initial=0))
     false_clusters = 0
     for c in clusters:
         hit = False
         for r, col in c.pixels.tolist():
-            for i, mask in enumerate(truth_masks):
-                if mask[r][col]:
-                    detected[i] = hit = True
+            if truth[r][col]:
+                detected[truth[r][col] - 1] = hit = True
         false_clusters += not hit
     return tuple(detected), false_clusters
+
+
+def label_image(*masks):
+    """Truth label image of disjoint masks: i + 1 on mask i, 0 elsewhere."""
+    return sum((i + 1) * np.asarray(m, dtype=np.int32) for i, m in enumerate(masks))
 
 
 class TestComputeThreshold:
@@ -178,6 +182,12 @@ class TestRunDetection:
         painted = int(art.kept_binary.bits.sum())
         assert painted == sum(c.pixel_count for c in art.report.clusters_kept)
 
+    def test_artifacts_build_kept_binary_on_first_read(self):
+        art = run_detection_artifacts(two_level_image(), self.PARAMS)
+        assert "kept_binary" not in art.__dict__
+        assert art.kept_binary is art.kept_binary
+        assert not art.kept_binary.bits.flags.writeable
+
 
 class TestMatchDetections:
     PARAMS = TestRunDetection.PARAMS
@@ -190,7 +200,7 @@ class TestMatchDetections:
     def test_single_particle_detected(self):
         img = two_level_image()
         report = run_detection(img, self.PARAMS)
-        summary = match_detections(report, [self._mask(128, 40, 60, 20, 20)])
+        summary = match_detections(report, label_image(self._mask(128, 40, 60, 20, 20)))
         assert summary.detected == (True,)
         assert summary.false_clusters == 0
         assert summary.all_detected
@@ -204,7 +214,7 @@ class TestMatchDetections:
         assert len(report.clusters_kept) == 1
         summary = match_detections(
             report,
-            [self._mask(128, 40, 30, 20, 20), self._mask(128, 40, 50, 20, 20)],
+            label_image(self._mask(128, 40, 30, 20, 20), self._mask(128, 40, 50, 20, 20)),
         )
         assert summary.detected == (True, True)
         assert summary.false_clusters == 0
@@ -213,7 +223,7 @@ class TestMatchDetections:
         img = two_level_image()
         report = run_detection(img, self.PARAMS)
         far_mask = self._mask(128, 0, 0, 10, 10)
-        summary = match_detections(report, [far_mask])
+        summary = match_detections(report, label_image(far_mask))
         assert summary.detected == (False,)
         assert summary.false_clusters == 1  # the real cluster hits no mask
 
@@ -221,15 +231,23 @@ class TestMatchDetections:
         img = two_level_image()
         report = run_detection(img, self.PARAMS)
         with pytest.raises(ValueError, match="shape"):
-            match_detections(report, [np.zeros((64, 64), dtype=bool)])
+            match_detections(report, np.zeros((64, 64), dtype=np.int32))
+
+    def test_list_of_masks_rejected(self):
+        # one label image carries the truth; a stack of masks, which could
+        # overlap, is not a truth image
+        report = run_detection(two_level_image(), self.PARAMS)
+        mask = self._mask(128, 40, 60, 20, 20)
+        with pytest.raises(ValueError, match="shape"):
+            match_detections(report, [mask, mask])
 
 
 class TestMatchClustersProperty:
     @staticmethod
-    def _check(bits, masks, min_pixels):
+    def _check(bits, truth, min_pixels):
         kept = filter_clusters(black_clusters(BinaryImage(bits)), min_pixels)
-        summary = match_clusters(kept, masks)
-        assert (summary.detected, summary.false_clusters) == reference_match(kept, masks)
+        summary = match_clusters(kept, truth)
+        assert (summary.detected, summary.false_clusters) == reference_match(kept, truth)
         return summary
 
     def test_cluster_spanning_two_masks(self):
@@ -237,12 +255,12 @@ class TestMatchClustersProperty:
         bits[2, 1:9] = True
         left, right = np.zeros((2, 6, 10), dtype=bool)
         left[2, 0:3] = right[1:4, 6:8] = True
-        summary = self._check(bits, [left, right], 8)
+        summary = self._check(bits, label_image(left, right), 8)
         assert summary == MatchSummary(detected=(True, True), false_clusters=0)
 
     def test_scene_without_masks(self):
         bits = np.random.default_rng(8).random((20, 20)) < 0.5
-        summary = self._check(bits, [], 1)
+        summary = self._check(bits, np.zeros((20, 20), dtype=np.int32), 1)
         assert summary.detected == () and summary.false_clusters > 0
 
     def test_cluster_of_exactly_min_pixels(self):
@@ -251,7 +269,7 @@ class TestMatchClustersProperty:
         bits[4, 0:2] = True  # 2 pixels, dropped
         mask = np.zeros((5, 5), dtype=bool)
         mask[4, 0] = True
-        summary = self._check(bits, [mask], 3)
+        summary = self._check(bits, label_image(mask), 3)
         assert summary == MatchSummary(detected=(False,), false_clusters=1)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -262,12 +280,12 @@ class TestMatchClustersProperty:
         rng = np.random.default_rng(seed)
         bits = rng.random((n, n)) < p
         # disjoint random rectangles, as scenes place them
-        owner = np.full((n, n), -1)
+        owner = np.zeros((n, n), dtype=np.int32)
         for i in range(n_masks):
             r0, c0 = rng.integers(0, n, 2)
             r1, c1 = r0 + rng.integers(1, n + 1), c0 + rng.integers(1, n + 1)
-            owner[r0:r1, c0:c1] = i
-        self._check(bits, [owner == i for i in range(n_masks)], min_pixels)
+            owner[r0:r1, c0:c1] = i + 1
+        self._check(bits, owner, min_pixels)
 
 
 class TestReportJson:

@@ -9,6 +9,7 @@ the unit tests.
 """
 
 import hashlib
+import pickle
 
 import pytest
 
@@ -49,21 +50,26 @@ GOLDEN_CONSISTENCY_CSV = (
 )
 
 
-def _disc_scene_pgm(path, n=1200, seed=2024):
-    """A seeded two-level disc scene written as a 16-bit P5.
+def _disc_scene(n=1200):
+    """A two-level scene of 30 discs at n = 1200, a = 0.3, b = 0.45.
 
     Discs of radius 40 sit at the centres of alternate 150-pixel tiles; the
     top-left 300x300 block stays particle-free, so after the two default
     downsampling passes it holds the 65-pixel background window.
     """
-    a, b, half_width = 0.3, 0.45, 0.4
     disc = disc_mask(40)
     centres = [(i * 150 + 75, j * 150 + 75)
                for i in range(n // 150) for j in range(n // 150)
                if (i + j) % 2 == 0 and not (i < 2 and j < 2)]
     masks = tuple(place_shape(n, disc, r - 40, c - 40) for r, c in centres)
-    spec = SceneSpec(n=n, a=a, b=b, particles=masks, noise_square=(0, 0),
+    return SceneSpec(n=n, a=0.3, b=0.45, particles=masks, noise_square=(0, 0),
                      noise_square_side=300, min_particle_square=36)
+
+
+def _disc_scene_pgm(path, seed=2024):
+    """The disc scene, seeded, written as a 16-bit P5."""
+    spec, half_width = _disc_scene(), 0.4
+    a, b = spec.a, spec.b
     img, _ = generate_scene(spec, UniformNoise(half_width), seed)
     scaled = (img.pixels - (a - half_width)) * (65535.0 / (b - a + 2 * half_width))
     write_image(Micrograph(scaled), path, format="pgm", maxval=65535)
@@ -80,6 +86,13 @@ def test_detect_outputs_match_golden_hashes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("decision ParticlesFound ")
     got = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in outs.items()}
     assert got == GOLDEN_DETECT
+
+
+def test_disc_scene_carries_one_label_image():
+    # one int32 label image, not 30 full-frame masks (43 MB pickled)
+    spec = _disc_scene()
+    assert spec.truth.max() == 30
+    assert len(pickle.dumps(spec)) <= 4 * spec.n * spec.n + 65536
 
 
 def _criterion6_scene(n=256):

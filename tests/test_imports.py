@@ -1,0 +1,38 @@
+"""Every module of the package uses what it imports.
+
+No linter ships with the test dependencies, so this walks each module's
+syntax tree: an imported name that no other node of the module reads is an
+error. `__init__.py` re-exports on purpose and is skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "percopick"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_detector_flags_an_unused_import():
+    source = "import numpy as np\nimport os\nfrom math import pi, tau\nprint(np.e, tau)\n"
+    assert unused_imports(source) == ["line 2: os", "line 3: pi"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

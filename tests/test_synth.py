@@ -160,7 +160,7 @@ class TestShapes:
 class TestSceneSpec:
     def test_valid_scene(self):
         spec = simple_scene()
-        assert len(spec.particles) == 1
+        assert spec.truth.max() == 1
         assert spec.truth_image[0, 0] == 0.3
         assert spec.truth_image[75, 75] == 0.7
 
@@ -186,6 +186,40 @@ class TestSceneSpec:
             SceneSpec(n=64, a=0.0, b=1.0, particles=(sparse,),
                       noise_square=(0, 0), noise_square_side=16, min_particle_square=4)
 
+    def test_truth_is_the_one_label_image(self):
+        spec = simple_scene(boxes=((70, 70, 20), (40, 70, 10)))
+        assert spec.truth.dtype == np.int32 and not spec.truth.flags.writeable
+        assert spec.truth[75, 75] == 1 and spec.truth[45, 75] == 2 and spec.truth[0, 0] == 0
+        assert np.bincount(spec.truth.ravel()).tolist()[1:] == [400, 100]
+        assert not hasattr(spec, "particles")
+        arrays = [k for k, v in vars(spec).items() if isinstance(v, np.ndarray)]
+        assert arrays == ["truth"]
+
+    def test_square_check_reads_only_the_particles_own_pixels(self):
+        # a thin ring holds no 4x4 square; the square inside its hole, in the
+        # ring's bounding box, must not lend it one
+        ring = annulus_gap_mask(10, 7, 1)
+        assert not mask_contains_square(ring, 4)
+        masks = (place_shape(48, ring, 10, 10), place_shape(48, square_mask(6), 17, 17))
+        with pytest.raises(ValueError, match="particle mask 0 contains no full 4x4"):
+            SceneSpec(n=48, a=0.0, b=1.0, particles=masks,
+                      noise_square=(0, 0), noise_square_side=8, min_particle_square=4)
+
+    def test_particle_inside_another_particles_box(self):
+        masks = (place_shape(48, annulus_gap_mask(12, 4, 1), 10, 10),
+                 place_shape(48, square_mask(4), 20, 20))
+        spec = SceneSpec(n=48, a=0.0, b=1.0, particles=masks,
+                         noise_square=(0, 0), noise_square_side=8, min_particle_square=4)
+        assert np.array_equal(spec.truth, masks[0] + 2 * masks[1])
+
+    def test_empty_or_misshapen_mask_rejected(self):
+        kwargs = dict(n=32, a=0.0, b=1.0, noise_square=(0, 0), noise_square_side=8,
+                      min_particle_square=2)
+        with pytest.raises(ValueError, match="particle mask 0 contains no full"):
+            SceneSpec(particles=(np.zeros((32, 32), dtype=bool),), **kwargs)
+        with pytest.raises(ValueError, match=r"particle mask 0 has shape \(16, 16\)"):
+            SceneSpec(particles=(square_mask(16),), **kwargs)
+
     def test_b_not_above_a_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec(n=16, a=0.5, b=0.5, particles=(),
@@ -201,9 +235,9 @@ class TestGenerateScene:
     def test_no_particles_no_noise_is_constant(self):
         spec = SceneSpec(n=32, a=0.4, b=1.0, particles=(),
                          noise_square=(0, 0), noise_square_side=8, min_particle_square=2)
-        img, masks = generate_scene(spec, UniformNoise(0.0), 0)
+        img, truth = generate_scene(spec, UniformNoise(0.0), 0)
         assert np.all(img.pixels == 0.4)
-        assert masks == ()
+        assert truth.shape == (32, 32) and not truth.any()
 
     def test_noiseless_two_level(self):
         spec = simple_scene(boxes=((60, 60, 10),))
@@ -223,8 +257,8 @@ class TestGenerateScene:
 
     def test_off_mask_noise_moments(self):
         spec = simple_scene(n=256, phi0=64, boxes=((100, 100, 40),))
-        img, masks = generate_scene(spec, UniformNoise(0.2), 7)
-        off = img.pixels[~masks[0]] - 0.3
+        img, truth = generate_scene(spec, UniformNoise(0.2), 7)
+        off = img.pixels[truth == 0] - 0.3
         assert abs(off.mean()) < 0.005
         assert off.var() == pytest.approx(0.04 / 3, rel=0.05)
 
@@ -233,11 +267,11 @@ class TestGenerateScene:
         # fraction sits below 1/2 and the particle fraction above, each by a
         # clear margin even at contrast 0.1 under +/-0.25 noise
         spec = simple_scene(n=256, a=0.45, b=0.55, phi0=64, boxes=((100, 100, 80),))
-        img, masks = generate_scene(spec, UniformNoise(0.25), 11)
+        img, truth = generate_scene(spec, UniformNoise(0.25), 11)
         theta = (0.45 + 0.55) / 2
         black = img.pixels >= theta
-        p_background = black[~masks[0]].mean()
-        p_particle = black[masks[0]].mean()
+        p_background = black[truth == 0].mean()
+        p_particle = black[truth == 1].mean()
         assert p_background <= 0.5 - 0.02
         assert p_particle >= 0.5 + 0.02
 
@@ -261,16 +295,13 @@ class TestSceneJson:
         path.write_text(json.dumps(self.DOC))
         spec, noise = load_scene(path)
         assert spec.n == 96
-        assert len(spec.particles) == 2
+        assert spec.truth.max() == 2
         assert noise == UniformNoise(0.15)
 
     def test_auto_placed_noise_square_is_clear(self):
         spec, _ = scene_from_dict(self.DOC)
         r, c = spec.noise_square
-        union = np.zeros((96, 96), dtype=bool)
-        for m in spec.particles:
-            union |= m
-        assert not union[r : r + 24, c : c + 24].any()
+        assert not spec.truth[r : r + 24, c : c + 24].any()
 
     def test_explicit_noise_square(self):
         doc = dict(self.DOC, noise_square=[0, 40])
