@@ -24,14 +24,14 @@ from .detect import (
     report_to_json,
     run_detection_artifacts,
 )
-from .image import Micrograph
+from .image import _adopt
 from .io import (
     atomic_write_bytes,
     read_image,
     write_binary_image,
     write_image,
 )
-from .percolation import BinaryImage
+from .percolation import _adopt_bits
 from .scan import estimate_intensities
 from .synth import (
     generate_scene,
@@ -132,12 +132,12 @@ def _cmd_synth(args) -> int:
     spec, noise = load_scene(args.scene)
     img, truth = generate_scene(spec, noise, args.seed)
     if args.out.lower().endswith(".pgm"):
-        scaled = Micrograph(img.pixels * args.pgm_maxval)
+        scaled = _adopt(img.pixels * args.pgm_maxval)
         write_image(scaled, args.out, format="pgm", maxval=args.pgm_maxval)
     else:
         write_image(img, args.out, format="csv")
     if args.truth_out is not None:
-        write_binary_image(BinaryImage(truth > 0), args.truth_out)
+        write_binary_image(_adopt_bits(truth > 0), args.truth_out)
     print(f"wrote {spec.n}x{spec.n} scene with {truth.max()} particle(s) to {args.out}")
     return 0
 

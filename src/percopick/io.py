@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .image import Micrograph, _adopt
-from .percolation import BinaryImage
+from .percolation import BinaryImage, _adopt_bits
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _IS_WHITESPACE = np.isin(np.arange(256), list(_WHITESPACE))  # indexed by byte value
@@ -284,4 +284,4 @@ def read_binary_image(path: str | Path) -> BinaryImage:
     values = np.unique(img.pixels)
     if not np.isin(values, (0.0, 1.0)).all():
         raise ImageParseError(f"expected only 0/1 samples, found values {values[:5]}")
-    return BinaryImage(img.pixels == 1.0)
+    return _adopt_bits(img.pixels == 1.0)

@@ -3,9 +3,10 @@
 Scenes follow the additive model: every pixel is the background intensity a,
 or the particle intensity b > a on a particle mask, plus i.i.d. mean-zero
 noise bounded by M. Scene construction enforces the model premises up front:
-particle masks are pairwise disjoint, each contains a full phi1 x phi1
-square, and an explicitly placed phi0 x phi0 square is left noise-only. The
-masks are then carried as one truth label image.
+particle masks, any iterable read once, mask by mask, into one truth label
+image, are pairwise disjoint, each contains a full phi1 x phi1 square, and
+a phi0 x phi0 square is left noise-only (given, or placed at the first clear
+corner when noise_square is None).
 
 Monte Carlo trials derive per-trial seeds from (seed, trial_index), so
 results do not depend on scheduling and may be computed in parallel: with
@@ -18,6 +19,7 @@ from __future__ import annotations
 import abc
 import json
 import math
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from functools import partial
@@ -217,21 +219,21 @@ def mask_contains_square(mask: np.ndarray, side: int) -> bool:
 class SceneSpec:
     """Ground truth for a synthetic scene.
 
-    particles, full-frame boolean masks, are read once at construction and
-    stamped into truth, a read-only int32 label image: i + 1 on the pixels of
-    particle i, 0 off the particles. No per-particle array is kept. The masks
-    must be pairwise disjoint, and each must contain a full
-    min_particle_square square of its own pixels (the premise behind the
-    particle-intensity scan window). noise_square is the top-left corner of
-    the guaranteed noise-only square of side noise_square_side; its existence
-    is a hard model premise, so it is validated here rather than trusted.
+    particles, any iterable of full-frame boolean masks, is read once, one
+    mask at a time, into truth, a read-only int32 label image: i + 1 on
+    particle i, 0 off the particles. The masks must be pairwise disjoint, and
+    each must contain a full min_particle_square square of its own pixels
+    (the premise behind the particle-intensity scan window). noise_square is
+    the top-left corner of the guaranteed noise-only square of side
+    noise_square_side, a hard model premise: a given corner is validated, and
+    None places the square at the first clear row-major corner of truth.
     """
 
     n: int
     a: float
     b: float
-    particles: InitVar[tuple[np.ndarray, ...]]
-    noise_square: tuple[int, int]
+    particles: InitVar[Iterable[np.ndarray]]
+    noise_square: tuple[int, int] | None
     noise_square_side: int
     min_particle_square: int
     truth: np.ndarray = field(init=False, repr=False)
@@ -241,36 +243,35 @@ class SceneSpec:
             raise ValueError(f"scene side must be >= 1, got {self.n}")
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
             raise ValueError(f"need finite intensities with b > a, got a={self.a}, b={self.b}")
+        truth = np.zeros((self.n, self.n), dtype=np.int32)
+        flat = truth.reshape(-1)
+        count = 0
+        for count, mask in enumerate(particles, start=1):
+            if np.shape(mask) != truth.shape:
+                raise ValueError(f"particle mask {count - 1} has shape {np.shape(mask)}, "
+                                 f"expected {truth.shape}")
+            on = np.flatnonzero(mask)
+            del mask  # so the next mask is built after this one is freed
+            if flat[on].any():
+                raise ValueError("particle masks overlap")
+            flat[on] = count
+        if self.noise_square is None:
+            object.__setattr__(self, "noise_square",
+                               find_clear_square(truth, self.noise_square_side))
         if self.noise_square_side < 1 or self.min_particle_square < 1:
             raise ValueError("window sides must be >= 1")
         r0, c0 = self.noise_square
         s = self.noise_square_side
-        if r0 < 0 or c0 < 0 or r0 + s > self.n or c0 + s > self.n:
-            raise ValueError(
-                f"noise square at {self.noise_square} with side {s} "
-                f"does not fit an {self.n}x{self.n} frame"
-            )
-        truth = np.zeros((self.n, self.n), dtype=np.int32)
-        flat = truth.reshape(-1)
-        particles = tuple(particles)
-        for i, mask in enumerate(particles):
-            m = np.asarray(mask, dtype=bool)
-            if m.shape != truth.shape:
-                raise ValueError(
-                    f"particle mask {i} has shape {m.shape}, expected {truth.shape}"
-                )
-            on = np.flatnonzero(m)
-            if flat[on].any():
-                raise ValueError("particle masks overlap")
-            flat[on] = i + 1
+        if min(r0, c0) < 0 or max(r0, c0) + s > self.n:
+            raise ValueError(f"noise square at {self.noise_square} with side {s} "
+                             f"does not fit an {self.n}x{self.n} frame")
         side = self.min_particle_square
-        for i, box in enumerate(ndimage.find_objects(truth, max_label=len(particles))):
+        for i, box in enumerate(ndimage.find_objects(truth, max_label=count)):
             if box is None or not mask_contains_square(truth[box] == i + 1, side):
                 raise ValueError(f"particle mask {i} contains no full {side}x{side} square")
         if truth[r0 : r0 + s, c0 : c0 + s].any():
-            raise ValueError(
-                f"guaranteed noise square at {self.noise_square} intersects a particle"
-            )
+            raise ValueError(f"guaranteed noise square at {self.noise_square} "
+                             "intersects a particle")
         truth.setflags(write=False)
         object.__setattr__(self, "truth", truth)
 
@@ -294,18 +295,17 @@ def generate_scene(spec: SceneSpec, noise: NoiseModel, seed) -> tuple[Micrograph
     return _adopt(pixels), spec.truth
 
 
-def find_clear_square(n: int, particles, side: int) -> tuple[int, int]:
-    """First (row-major) top-left corner of a side x side square that avoids
-    every particle mask; raises if none exists."""
+def find_clear_square(truth: np.ndarray, side: int) -> tuple[int, int]:
+    """First (row-major) top-left corner of a side x side square with no
+    particle pixel of the label image truth; raises if none exists."""
+    n = min(truth.shape)
     if not 1 <= side <= n:
         raise ValueError(f"square side {side} outside 1..{n}, the frame side")
-    union = np.zeros((n, n), dtype=bool)
-    for m in particles:
-        union |= np.asarray(m, dtype=bool)
-    clear = np.argwhere(_mask_counts(union, side) == 0)
-    if clear.size == 0:
+    clear = _mask_counts(truth > 0, side) == 0
+    r, c = divmod(int(np.argmax(clear)), clear.shape[1])  # the first True, if any
+    if not clear[r, c]:
         raise ValueError(f"no noise-only square of side {side} fits between the particles")
-    return int(clear[0, 0]), int(clear[0, 1])
+    return r, c
 
 
 def _object(doc, what: str) -> dict:
@@ -340,31 +340,29 @@ def noise_from_dict(doc: dict) -> NoiseModel:
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
+def _shape_masks(n: int, shapes: list):
+    """The full-frame mask of each shapes[] entry, built when it is asked for."""
+    for i, sh in enumerate(shapes):
+        sh = _object(sh, f"shapes[{i}]")
+        mask = shape_library(_field(sh, "kind", str), _field(sh, "size", int))
+        yield place_shape(n, mask, _field(sh, "row", int), _field(sh, "col", int))
+
+
 def scene_from_dict(doc: dict) -> tuple[SceneSpec, NoiseModel]:
     """Build a scene and its noise model from a JSON-style document.
 
     Expected fields: n, a, b, phi0, phi1, shapes: [{kind, size, row, col}],
-    noise: {kind, ...}; optional noise_square: [row, col] (auto-placed at the
-    first clear spot when omitted).
+    noise: {kind, ...}; optional noise_square: [row, col] (when omitted,
+    SceneSpec places it at the first clear corner).
     """
     n = _field(_object(doc, "scene document"), "n", int)
-    masks = []
-    for i, sh in enumerate(_field(doc, "shapes", list) if "shapes" in doc else []):
-        sh = _object(sh, f"shapes[{i}]")
-        mask = shape_library(_field(sh, "kind", str), _field(sh, "size", int))
-        masks.append(place_shape(n, mask, _field(sh, "row", int), _field(sh, "col", int)))
-    phi0 = _field(doc, "phi0", int)
-    if "noise_square" in doc:
-        r0, c0 = _field(doc, "noise_square", _corner)
-    else:
-        r0, c0 = find_clear_square(n, masks, phi0)
     spec = SceneSpec(
         n=n,
         a=_field(doc, "a"),
         b=_field(doc, "b"),
-        particles=tuple(masks),
-        noise_square=(r0, c0),
-        noise_square_side=phi0,
+        particles=_shape_masks(n, _field(doc, "shapes", list) if "shapes" in doc else []),
+        noise_square=_field(doc, "noise_square", _corner) if "noise_square" in doc else None,
+        noise_square_side=_field(doc, "phi0", int),
         min_particle_square=_field(doc, "phi1", int),
     )
     return spec, noise_from_dict(_field(doc, "noise", lambda noise: noise))
@@ -597,5 +595,7 @@ def percolation_phase(n: int, p_values, trials: int, seed: int) -> PhaseTable:
     noise clusters small while particle interiors grow a giant cluster.
     """
     p_values = [float(p) for p in p_values]
+    if not p_values:
+        raise ValueError("p_values must not be empty")
     results = _run_trials(partial(_phase_trial, n, p_values, seed), trials, 1)
     return PhaseTable(n=n, rows=tuple(row for per_p in zip(*results) for row in per_p))

@@ -149,6 +149,17 @@ def test_malformed_scene_exits_1_with_one_line(doc, named, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["percolation-phase", "--n", "16", "--p", ""], "p_values must not be empty"),
+    (["mc-consistency", "--scene", "{scene}", "--phi0-grid", ""], "phi0_grid must not be empty"),
+], ids=["phase_no_p", "consistency_no_phi0"])
+def test_empty_value_list_exits_1_with_one_line(argv, named, scene_json, capsys):
+    code = main([arg.format(scene=scene_json) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"percopick: error: {named}\n"
+
+
 def test_unknown_flag_exits_1(capsys):
     code = main(["detect", "--in", "x.pgm", "--frobnicate"])
     assert code == 1

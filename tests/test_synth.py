@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,25 @@ class TestSceneSpec:
             SceneSpec(n=16, a=0.5, b=0.5, particles=(),
                       noise_square=(0, 0), noise_square_side=4, min_particle_square=2)
 
+    def test_particles_read_once_from_a_generator(self):
+        boxes = ((70, 70, 20), (40, 70, 10))
+        masks = (place_shape(128, square_mask(side), r, c) for r, c, side in boxes)
+        spec = SceneSpec(n=128, a=0.3, b=0.7, particles=masks,
+                         noise_square=(0, 0), noise_square_side=32, min_particle_square=8)
+        assert np.array_equal(spec.truth, simple_scene(boxes=boxes).truth)
+        assert next(masks, None) is None
+
+    def test_auto_placed_noise_square_is_the_first_accepted_corner(self):
+        masks = (place_shape(64, square_mask(10), 4, 4), place_shape(64, square_mask(10), 30, 2))
+        kwargs = dict(n=64, a=0.0, b=1.0, particles=masks, noise_square_side=16,
+                      min_particle_square=4)
+        spec = SceneSpec(noise_square=None, **kwargs)
+        assert spec.noise_square == (0, 14)
+        assert np.array_equal(SceneSpec(noise_square=(0, 14), **kwargs).truth, spec.truth)
+        for corner in [(0, c) for c in range(14)]:
+            with pytest.raises(ValueError, match="intersects a particle"):
+                SceneSpec(noise_square=corner, **kwargs)
+
     def test_noise_square_outside_frame_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec(n=16, a=0.0, b=1.0, particles=(),
@@ -317,6 +337,24 @@ class TestSceneJson:
         with pytest.raises(ValueError, match="noise kind"):
             scene_from_dict(dict(self.DOC, noise={"kind": "cauchy"}))
 
+    def test_peak_memory_does_not_grow_with_shape_count(self):
+        # one full-frame mask at a time, and no union of the masks
+        n = 600
+
+        def peak(count):
+            shapes = [{"kind": "square", "size": 20, "row": 300 + 30 * (k // 10),
+                       "col": 30 * (k % 10)} for k in range(count)]
+            tracemalloc.start()
+            try:
+                spec, _ = scene_from_dict(dict(self.DOC, n=n, phi0=100, shapes=shapes))
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert spec.truth.max() == count and spec.noise_square == (0, 0)
+            return traced
+
+        assert peak(60) <= peak(10) + 2 * n * n
+
     def test_no_room_for_noise_square(self):
         doc = dict(self.DOC, n=20, phi0=20,
                    shapes=[{"kind": "square", "size": 8, "row": 6, "col": 6}])
@@ -362,16 +400,16 @@ def test_scene_documents_build_or_raise_value_error(noise, noise_square, edits):
 
 class TestFindClearSquare:
     def test_first_row_major_position(self):
-        masks = [place_shape(32, square_mask(8), 0, 0)]
-        assert find_clear_square(32, masks, 8) == (0, 8)
+        truth = place_shape(32, square_mask(8), 0, 0).astype(np.int32)
+        assert find_clear_square(truth, 8) == (0, 8)
 
     def test_no_particles_gives_origin(self):
-        assert find_clear_square(32, [], 8) == (0, 0)
+        assert find_clear_square(np.zeros((32, 32), dtype=np.int32), 8) == (0, 0)
 
     @pytest.mark.parametrize("side", [0, -3, 33])
     def test_side_outside_frame_rejected(self, side):
         with pytest.raises(ValueError, match=r"square side -?\d+ outside 1\.\.32"):
-            find_clear_square(32, [], side)
+            find_clear_square(np.zeros((32, 32), dtype=np.int32), side)
 
 
 class TestWindowSelectionBound:
