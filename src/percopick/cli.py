@@ -62,20 +62,35 @@ def _list_of(convert, what: str):
     return parse
 
 
-def _add_params_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("pipeline parameters (defaults match the reference "
-                             "cryo-EM micrograph workflow)")
-    g.add_argument("--phi0", type=int, default=65,
+def _flag_parents() -> tuple[argparse.ArgumentParser, ...]:
+    """The flag sets that several subcommands share: image input, pipeline
+    parameters (defaults from DetectParams) and the Monte Carlo run flags."""
+    image_in = argparse.ArgumentParser(add_help=False)
+    image_in.add_argument("--in", dest="input", required=True, help="input image (PGM or CSV)")
+    image_in.add_argument("--format", choices=("pgm", "csv"), default=None,
+                          help="input format (default: inferred from the suffix)")
+    pipeline = argparse.ArgumentParser(add_help=False)
+    d = DetectParams()
+    g = pipeline.add_argument_group("pipeline parameters (defaults match the reference "
+                                    "cryo-EM micrograph workflow)")
+    g.add_argument("--phi0", type=int, default=d.phi0,
                    help="window side for the background estimate (default: %(default)s)")
-    g.add_argument("--phi1", type=int, default=9,
+    g.add_argument("--phi1", type=int, default=d.phi1,
                    help="window side for the particle estimate (default: %(default)s)")
-    g.add_argument("--min-cluster", type=int, default=30, dest="min_cluster",
+    g.add_argument("--min-cluster", type=int, default=d.min_cluster_pixels,
                    help="keep clusters of at least this many pixels (default: %(default)s)")
-    g.add_argument("--downsample", type=int, default=2, dest="downsample",
+    g.add_argument("--downsample", type=int, default=d.downsample_passes,
                    help="number of 2x downsampling passes (default: %(default)s)")
-    g.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
+    g.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=d.normalize,
                    help="rescale to a maximum intensity of 1 before estimating "
-                        "(default: on)")
+                        "(default: %(default)s)")
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--scene", required=True, help="scene description (JSON)")
+    mc.add_argument("--trials", type=int, default=100)
+    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    mc.add_argument("--out", dest="output", default=None, help="CSV path (default: stdout)")
+    return image_in, pipeline, mc
 
 
 def _params_from_args(args) -> DetectParams:
@@ -193,24 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "on the triangular lattice.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    image_in, pipeline, mc = _flag_parents()
 
-    p = sub.add_parser("estimate", help="print a_hat, b_hat, and the midpoint threshold")
-    p.add_argument("--in", dest="input", required=True, help="input image (PGM or CSV)")
-    p.add_argument("--format", choices=("pgm", "csv"), default=None,
-                   help="input format (default: inferred from the suffix)")
-    _add_params_flags(p)
+    p = sub.add_parser("estimate", parents=[image_in, pipeline],
+                       help="print a_hat, b_hat, and the midpoint threshold")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("detect", help="run the full pipeline and emit a JSON report")
-    p.add_argument("--in", dest="input", required=True, help="input image (PGM or CSV)")
-    p.add_argument("--format", choices=("pgm", "csv"), default=None)
+    p = sub.add_parser("detect", parents=[image_in, pipeline],
+                       help="run the full pipeline and emit a JSON report")
     p.add_argument("--out", dest="output", default=None,
                    help="report path (default: print to stdout)")
-    p.add_argument("--binary-out", dest="binary_out", default=None,
+    p.add_argument("--binary-out", default=None,
                    help="write the thresholded image as PGM (maxval 1, 1 = black)")
-    p.add_argument("--filtered-out", dest="filtered_out", default=None,
+    p.add_argument("--filtered-out", default=None,
                    help="write the kept-clusters image as PGM (maxval 1, 1 = black)")
-    _add_params_flags(p)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("synth", help="generate a synthetic scene image")
@@ -218,34 +229,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True,
                    help="output image; .csv is exact, .pgm is scaled and quantized")
-    p.add_argument("--truth-out", dest="truth_out", default=None,
+    p.add_argument("--truth-out", default=None,
                    help="write the union of particle masks as PGM (maxval 1)")
-    p.add_argument("--pgm-maxval", dest="pgm_maxval", type=int, default=65535,
+    p.add_argument("--pgm-maxval", type=int, default=65535,
                    help="scale factor and maxval for .pgm output (default: %(default)s)")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("mc-consistency",
+    p = sub.add_parser("mc-consistency", parents=[mc],
                        help="error table of the background estimate over seeded trials")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--phi0-grid", dest="phi0_grid", type=_list_of(int, "integers"),
-                   default=[16, 32, 64], help="comma-separated window sides (default: %(default)s)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--out", dest="output", default=None, help="CSV path (default: stdout)")
+    p.add_argument("--phi0-grid", type=_list_of(int, "integers"), default=[16, 32, 64],
+                   help="comma-separated window sides (default: %(default)s)")
     p.set_defaults(func=_cmd_mc_consistency)
 
-    p = sub.add_parser("mc-detection",
+    p = sub.add_parser("mc-detection", parents=[mc, pipeline],
                        help="detection power and false-cluster rates over seeded trials")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", type=float, default=None,
                    help="fixed threshold (skips the estimate step; for pure-noise "
                         "false-alarm experiments)")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", dest="output", default=None, help="CSV path (default: stdout)")
-    _add_params_flags(p)
     p.set_defaults(func=_cmd_mc_detection)
 
     p = sub.add_parser("bound",
@@ -256,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated counts of pixels outside the noise-only square")
     p.add_argument("--contrast", type=float, required=True, help="intensity gap b - a")
     p.add_argument("--sigma", type=float, required=True, help="noise standard deviation")
-    p.add_argument("--bound-m", dest="bound_m", type=float, required=True,
-                   help="almost-sure noise bound M")
+    p.add_argument("--bound-m", type=float, required=True, help="almost-sure noise bound M")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("percolation-phase",

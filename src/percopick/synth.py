@@ -35,7 +35,7 @@ from .detect import (
     preprocess,
     run_detection_artifacts,
 )
-from .image import Micrograph, _adopt, _cumulative_table, window_sums
+from .image import Micrograph, _adopt
 from .percolation import binarize, black_clusters, bernoulli_field, cluster_sizes, filter_clusters
 from .scan import estimate_lower, naive_mean
 
@@ -198,17 +198,17 @@ def place_shape(n: int, shape: np.ndarray, row: int, col: int) -> np.ndarray:
     return frame
 
 
-def _mask_counts(mask: np.ndarray, side: int) -> np.ndarray:
-    """Mask pixels in every side x side window, by top-left corner (exact in float64)."""
-    return window_sums(_cumulative_table(np.asarray(mask, dtype=bool)), side)
+def _square_corners(mask: np.ndarray, side: int) -> np.ndarray:
+    """True at each top-left corner whose side x side window lies inside the mask, for
+    1 <= side <= both mask sides: a sliding minimum, cropped to the windows that fit."""
+    h, w = np.shape(mask)
+    inside = ndimage.minimum_filter(np.asarray(mask, dtype=bool), side, origin=-(side // 2))
+    return inside[: h - side + 1, : w - side + 1]
 
 
 def mask_contains_square(mask: np.ndarray, side: int) -> bool:
     """True if some side x side window lies entirely inside the mask."""
-    h, w = np.shape(mask)
-    if side < 1 or side > h or side > w:
-        return False
-    return bool((_mask_counts(mask, side) == side * side).any())
+    return 1 <= side <= min(np.shape(mask)) and bool(_square_corners(mask, side).any())
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def find_clear_square(truth: np.ndarray, side: int) -> tuple[int, int]:
     n = min(truth.shape)
     if not 1 <= side <= n:
         raise ValueError(f"square side {side} outside 1..{n}, the frame side")
-    clear = _mask_counts(truth > 0, side) == 0
+    clear = _square_corners(truth == 0, side)
     r, c = divmod(int(np.argmax(clear)), clear.shape[1])  # the first True, if any
     if not clear[r, c]:
         raise ValueError(f"no noise-only square of side {side} fits between the particles")
@@ -324,10 +324,17 @@ def _field(doc: dict, key: str, convert=float):
         raise ValueError(f"scene field {key!r} is malformed: {exc}") from None
 
 
+def _integral(value) -> int:
+    """An integral JSON number (10 or 10.0) as an int; anything else is a ValueError."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"expected an integral number, got {value!r}")
+
+
 def _corner(corner) -> tuple[int, int]:
     if not isinstance(corner, (list, tuple)) or len(corner) != 2:
         raise ValueError("expected [row, col]")
-    return int(corner[0]), int(corner[1])
+    return _integral(corner[0]), _integral(corner[1])
 
 
 def noise_from_dict(doc: dict) -> NoiseModel:
@@ -344,8 +351,8 @@ def _shape_masks(n: int, shapes: list):
     """The full-frame mask of each shapes[] entry, built when it is asked for."""
     for i, sh in enumerate(shapes):
         sh = _object(sh, f"shapes[{i}]")
-        mask = shape_library(_field(sh, "kind", str), _field(sh, "size", int))
-        yield place_shape(n, mask, _field(sh, "row", int), _field(sh, "col", int))
+        mask = shape_library(_field(sh, "kind", str), _field(sh, "size", _integral))
+        yield place_shape(n, mask, _field(sh, "row", _integral), _field(sh, "col", _integral))
 
 
 def scene_from_dict(doc: dict) -> tuple[SceneSpec, NoiseModel]:
@@ -355,15 +362,15 @@ def scene_from_dict(doc: dict) -> tuple[SceneSpec, NoiseModel]:
     noise: {kind, ...}; optional noise_square: [row, col] (when omitted,
     SceneSpec places it at the first clear corner).
     """
-    n = _field(_object(doc, "scene document"), "n", int)
+    n = _field(_object(doc, "scene document"), "n", _integral)
     spec = SceneSpec(
         n=n,
         a=_field(doc, "a"),
         b=_field(doc, "b"),
         particles=_shape_masks(n, _field(doc, "shapes", list) if "shapes" in doc else []),
         noise_square=_field(doc, "noise_square", _corner) if "noise_square" in doc else None,
-        noise_square_side=_field(doc, "phi0", int),
-        min_particle_square=_field(doc, "phi1", int),
+        noise_square_side=_field(doc, "phi0", _integral),
+        min_particle_square=_field(doc, "phi1", _integral),
     )
     return spec, noise_from_dict(_field(doc, "noise", lambda noise: noise))
 
@@ -403,14 +410,11 @@ def window_selection_bound(
     excess = [float(v) for v in excess_list]
     if len(s1) != len(excess):
         raise ValueError(f"list lengths differ: {len(s1)} vs {len(excess)}")
-    if any(v < 0 for v in s1) or any(v < 0 for v in excess):
-        raise ValueError("s1 and excess values must be >= 0")
-    if not b_minus_a > 0:
-        raise ValueError(f"b_minus_a must be > 0, got {b_minus_a}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not bound_m > 0:
-        raise ValueError(f"bound_m must be > 0, got {bound_m}")
+    if not all(0 <= v < math.inf for v in s1 + excess):
+        raise ValueError("s1 and excess values must be finite and >= 0")
+    for name, value in (("b_minus_a", b_minus_a), ("sigma", sigma), ("bound_m", bound_m)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     c1 = 3.0 * b_minus_a ** 2
     c2 = 12.0 * sigma ** 2
     c3 = 4.0 * bound_m * b_minus_a

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from percopick import Micrograph, read_image, write_image
+from percopick import DetectParams, Micrograph, read_image, write_image
 from percopick.cli import main
 
 
@@ -135,9 +135,17 @@ SCENE_DOC = {
     (dict(SCENE_DOC, n=1e400), "scene field 'n' is malformed"),
     (dict(SCENE_DOC, noise={"half_width": 0.1}), "scene field 'kind' is missing"),
     ("{not json", "Expecting property name"),
+    (dict(SCENE_DOC, n=64.5), "scene field 'n' is malformed"),
+    (dict(SCENE_DOC, phi1=True), "scene field 'phi1' is malformed"),
+    (dict(SCENE_DOC, shapes=[dict(SCENE_DOC["shapes"][0], size=10.9)]),
+     "scene field 'size' is malformed"),
+    (dict(SCENE_DOC, shapes=[dict(SCENE_DOC["shapes"][0], row="30")]),
+     "scene field 'row' is malformed"),
+    (dict(SCENE_DOC, noise_square=[0.7, 0]), "scene field 'noise_square' is malformed"),
 ], ids=["top_level_list", "shapes_int", "shape_int", "noise_str", "noise_square_int",
         "half_width_null", "phi0_zero", "n_missing", "n_str", "noise_square_short",
-        "n_overflow", "noise_kind_missing", "not_json"])
+        "n_overflow", "noise_kind_missing", "not_json", "n_fraction", "phi1_bool",
+        "size_fraction", "row_str", "noise_square_fraction"])
 def test_malformed_scene_exits_1_with_one_line(doc, named, tmp_path, capsys):
     scene = tmp_path / "scene.json"
     scene.write_text(doc if isinstance(doc, str) else json.dumps(doc))  # a str is raw text
@@ -188,12 +196,15 @@ def test_help_documents_defaults(capsys):
 
 
 def test_flag_defaults_match_reference_pipeline():
-    from percopick.cli import build_parser
+    from percopick.cli import _params_from_args, build_parser
 
     args = build_parser().parse_args(["detect", "--in", "x.pgm"])
     assert (args.phi0, args.phi1, args.min_cluster) == (65, 9, 30)
     assert args.downsample == 2
     assert args.normalize is True
+    assert _params_from_args(args) == DetectParams()
+    for argv in (["estimate", "--in", "x.pgm"], ["mc-detection", "--scene", "s.json"]):
+        assert _params_from_args(build_parser().parse_args(argv)) == DetectParams()
 
 
 def test_bound_prints_expected_value(capsys):
@@ -210,6 +221,9 @@ def test_bound_prints_expected_value(capsys):
 def test_bound_invalid_inputs_exit_1(capsys):
     assert main(["bound", "--s1", "100", "--excess", "100",
                  "--contrast", "0", "--sigma", "1", "--bound-m", "1"]) == 1
+    assert main(["bound", "--s1", "3,4", "--excess", "1,2",
+                 "--contrast", "inf", "--sigma", "1", "--bound-m", "1"]) == 1
+    assert capsys.readouterr().err.endswith("b_minus_a must be finite and > 0, got inf\n")
 
 
 def test_synth_csv_and_truth(scene_json, tmp_path):

@@ -1,8 +1,11 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports, and imports nothing
+private from another module.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: an imported name that no other node of the module reads is an
-error. `__init__.py` re-exports on purpose and is skipped.
+error, and so is an imported name with a leading underscore, except the
+ownership helpers that let an image type take an array without a copy.
+`__init__.py` re-exports on purpose and is skipped.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "percopick"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+HANDOVERS = {"_adopt", "_adopt_bits", "_owned"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,6 +32,12 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def private_imports(source: str) -> list[str]:
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name.startswith("_") and alias.name not in HANDOVERS]
+
+
 def test_detector_flags_an_unused_import():
     source = "import numpy as np\nimport os\nfrom math import pi, tau\nprint(np.e, tau)\n"
     assert unused_imports(source) == ["line 2: os", "line 3: pi"]
@@ -36,3 +46,13 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detector_flags_a_private_import():
+    source = "from .image import _adopt, _cumulative_table\nfrom .io import read_image\n"
+    assert private_imports(source) == ["line 1: _cumulative_table"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_imports_nothing_private(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -328,6 +328,12 @@ class TestSceneJson:
         spec, _ = scene_from_dict(doc)
         assert spec.noise_square == (0, 40)
 
+    def test_integral_floats_read_as_ints(self):
+        doc = dict(self.DOC, n=96.0, phi0=24.0, noise_square=[0.0, 40.0])
+        spec, _ = scene_from_dict(doc)
+        assert (spec.n, spec.noise_square_side, spec.noise_square) == (96, 24, (0, 40))
+        assert type(spec.n) is int and type(spec.noise_square[0]) is int
+
     def test_truncated_gaussian_noise_doc(self):
         doc = dict(self.DOC, noise={"kind": "truncated_gaussian", "sigma_raw": 0.1, "bound": 0.2})
         _, noise = scene_from_dict(doc)
@@ -412,6 +418,48 @@ class TestFindClearSquare:
             find_clear_square(np.zeros((32, 32), dtype=np.int32), side)
 
 
+    def test_peak_memory_is_two_bytes_per_pixel(self):
+        n = 1200
+        truth = np.zeros((n, n), dtype=np.int32)
+        truth[:100, :100] = 1
+        tracemalloc.start()
+        try:
+            corner = find_clear_square(truth, 150)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corner == (0, 100)
+        assert peak <= 4 * n * n  # a float64 count table would be 17 bytes per pixel
+
+
+def brute_force_corners(mask, side):
+    """Row-major top-left corners whose side x side window lies inside mask."""
+    h, w = mask.shape
+    return [(r, c) for r in range(h - side + 1) for c in range(w - side + 1)
+            if mask[r : r + side, c : c + side].all()]
+
+
+def test_square_search_matches_brute_force_on_random_masks():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        h = int(rng.integers(1, 12))
+        w = h + int(rng.integers(1, 6))
+        mask = rng.random((h, w)) < rng.uniform(0.5, 1.0)
+        if rng.random() < 0.5:
+            mask, h, w = mask.T, w, h
+        truth = (~mask).astype(np.int32)  # a particle wherever the mask is off
+        for side in range(1, max(h, w) + 2):  # 1, both frame sides, and past either of them
+            corners = brute_force_corners(mask, side)
+            assert mask_contains_square(mask, side) == bool(corners)
+            if side > min(h, w):
+                continue
+            if corners:
+                assert find_clear_square(truth, side) == corners[0]
+            else:
+                with pytest.raises(ValueError, match="no noise-only square"):
+                    find_clear_square(truth, side)
+
+
 class TestWindowSelectionBound:
     def test_zero_s1_is_vacuous(self):
         result = window_selection_bound([0], [100], b_minus_a=1, sigma=1, bound_m=1)
@@ -448,6 +496,12 @@ class TestWindowSelectionBound:
             dict(s1_list=[1], excess_list=[1], b_minus_a=0.0),
             dict(s1_list=[1], excess_list=[1], sigma=0.0),
             dict(s1_list=[1], excess_list=[1], bound_m=-1.0),
+            dict(s1_list=[math.inf], excess_list=[1]),
+            dict(s1_list=[1], excess_list=[math.inf]),
+            dict(s1_list=[math.nan], excess_list=[1]),
+            dict(s1_list=[1], excess_list=[1], b_minus_a=math.inf),
+            dict(s1_list=[1], excess_list=[1], sigma=math.inf),
+            dict(s1_list=[1], excess_list=[1], bound_m=math.inf),
         ],
     )
     def test_invalid_inputs(self, kwargs):
