@@ -146,11 +146,10 @@ def _cmd_detect(args) -> int:
 def _cmd_synth(args) -> int:
     spec, noise = load_scene(args.scene)
     img, truth = generate_scene(spec, noise, args.seed)
-    if args.out.lower().endswith(".pgm"):
-        scaled = _adopt(img.pixels * args.pgm_maxval)
-        write_image(scaled, args.out, format="pgm", maxval=args.pgm_maxval)
-    else:
-        write_image(img, args.out, format="csv")
+    if args.out.lower().endswith(".csv"):
+        write_image(img, args.out)
+    else:  # PGM, or a suffix write_image rejects before writing anything
+        write_image(_adopt(img.pixels * args.pgm_maxval), args.out, maxval=args.pgm_maxval)
     if args.truth_out is not None:
         write_binary_image(_adopt_bits(truth > 0), args.truth_out)
     print(f"wrote {spec.n}x{spec.n} scene with {truth.max()} particle(s) to {args.out}")
@@ -228,11 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="scene description (JSON)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True,
-                   help="output image; .csv is exact, .pgm is scaled and quantized")
+                   help="output image; .csv is exact, .pgm or .pnm is scaled and quantized")
     p.add_argument("--truth-out", default=None,
                    help="write the union of particle masks as PGM (maxval 1)")
     p.add_argument("--pgm-maxval", type=int, default=65535,
-                   help="scale factor and maxval for .pgm output (default: %(default)s)")
+                   help="scale factor and maxval for PGM output (default: %(default)s)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("mc-consistency", parents=[mc],

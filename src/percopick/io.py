@@ -1,7 +1,9 @@
 """Image file I/O: PGM (P2 ASCII, P5 binary) and CSV float grids.
 
-PGM payloads are raw integer samples in [0, maxval]; reading returns them as
-floats without rescaling. CSV stores decimal floats and round-trips exactly.
+PGM payloads are raw integer samples in [0, maxval]. Both PGM readers parse
+them with _read_pgm and both writers encode them with _encode_pgm; samples
+become float64 pixels once (read_image, no rescaling) and float pixels become
+samples once (write_image). CSV stores decimal floats and round-trips exactly.
 Writers are atomic (temp file + rename).
 """
 
@@ -91,11 +93,18 @@ def _first_rejected(tokens: list[bytes], count: int, maxval: int) -> tuple[int, 
             return i, f"non-numeric token {tok!r} for pixel value"
 
 
-def _read_pgm(data: bytes) -> Micrograph:
+def _sample_dtype(maxval: int) -> np.dtype:
+    """PGM samples are 1 byte, or 2 bytes big-endian when maxval > 255."""
+    return np.dtype(">u2" if maxval > 255 else np.uint8)
+
+
+def _read_pgm(data: bytes) -> np.ndarray:
+    """The integer samples of a P2 or P5 file as a height x width array; for
+    P5 a read-only view of data."""
     sc = _PgmScanner(data)
     magic, start = sc.next_token("magic number")
     if magic not in (b"P2", b"P5"):
-        raise sc.error(f"unsupported magic {magic!r}, expected P2 or P5", start)
+        raise sc.error(f"unsupported magic {magic[:8]!r}, expected P2 or P5", start)
     width = sc.next_int("width", 1, 10**9)
     height = sc.next_int("height", 1, 10**9)
     maxval = sc.next_int("maxval", 1, 65535)
@@ -113,7 +122,7 @@ def _read_pgm(data: bytes) -> Micrograph:
         try:
             values = np.array(tokens, dtype=np.int64)
             if len(tokens) == count and values.min() >= 0 and values.max() <= maxval:
-                return _adopt(values.reshape(height, width).astype(np.float64))
+                return values.reshape(height, width)
         except (ValueError, OverflowError):  # a token that is no int64
             pass
         index, message = _first_rejected(tokens, count, maxval)
@@ -122,28 +131,23 @@ def _read_pgm(data: bytes) -> Micrograph:
     # P5: exactly one separator byte between maxval and the payload
     if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WHITESPACE:
         raise sc.error("missing whitespace after maxval in P5 header", sc.pos)
-    payload = data[sc.pos + 1 :]
-    two_byte = maxval > 255
-    needed = count * (2 if two_byte else 1)
-    if len(payload) < needed:
+    start = sc.pos + 1
+    dtype = _sample_dtype(maxval)
+    needed, found = count * dtype.itemsize, len(data) - start
+    if found < needed:
         raise ImageParseError(
-            f"truncated P5 payload: expected {needed} bytes, found {len(payload)}",
-            offset=len(data),
+            f"truncated P5 payload: expected {needed} bytes, found {found}", offset=len(data)
         )
-    if len(payload) > needed:
-        raise ImageParseError(
-            "trailing bytes after P5 payload",
-            offset=sc.pos + 1 + needed,
-        )
-    dtype = np.dtype(">u2") if two_byte else np.uint8
-    values = np.frombuffer(payload, dtype=dtype)
+    if found > needed:
+        raise ImageParseError("trailing bytes after P5 payload", offset=start + needed)
+    values = np.frombuffer(data, dtype, count, start)
     if values.max(initial=0) > maxval:
         bad = int(np.argmax(values > maxval))
         raise ImageParseError(
             f"pixel value {int(values[bad])} exceeds maxval {maxval}",
-            offset=sc.pos + 1 + bad * (2 if two_byte else 1),
+            offset=start + bad * dtype.itemsize,
         )
-    return _adopt(values.reshape(height, width).astype(np.float64))
+    return values.reshape(height, width)
 
 
 def _read_csv(data: bytes) -> Micrograph:
@@ -203,7 +207,7 @@ def read_image(path: str | Path, format: str | None = None) -> Micrograph:
     fmt = _resolve_format(path, format)
     data = Path(path).read_bytes()
     if fmt == "pgm":
-        return _read_pgm(data)
+        return _adopt(_read_pgm(data).astype(np.float64))
     return _read_csv(data)
 
 
@@ -223,24 +227,13 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _pgm_header(binary: bool, width: int, height: int, maxval: int) -> bytes:
-    return f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode("ascii")
-
-
-def _encode_pgm(img: Micrograph, maxval: int, binary: bool) -> bytes:
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval must be in 1..65535, got {maxval}")
-    quantized = np.rint(img.pixels).astype(np.int64)
-    if quantized.min() < 0 or quantized.max() > maxval:
-        raise ValueError(
-            f"pixel values round to {quantized.min()}..{quantized.max()}, "
-            f"outside the declared range 0..{maxval}"
-        )
-    header = _pgm_header(binary, img.width, img.height, maxval)
+def _encode_pgm(samples: np.ndarray, maxval: int, binary: bool) -> bytes:
+    """The PGM file of a height x width array of integer samples in 0..maxval."""
+    height, width = samples.shape
+    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode("ascii")
     if binary:
-        dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-        return header + quantized.astype(dtype).tobytes()
-    body = "\n".join(" ".join(str(v) for v in row) for row in quantized)
+        return header + samples.astype(_sample_dtype(maxval), copy=False).tobytes()
+    body = "\n".join(" ".join(map(str, row)) for row in samples.tolist())
     return header + (body + "\n").encode("ascii")
 
 
@@ -264,24 +257,30 @@ def write_image(
     in [0, maxval] (the caller scales). Samples are 16-bit big-endian when
     maxval > 255. CSV writes exact decimal floats.
     """
-    fmt = _resolve_format(path, format)
-    if fmt == "pgm":
-        payload = _encode_pgm(img, maxval, binary)
-    else:
-        payload = _encode_csv(img)
-    atomic_write_bytes(path, payload)
+    if _resolve_format(path, format) == "csv":
+        atomic_write_bytes(path, _encode_csv(img))
+        return
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"maxval must be in 1..65535, got {maxval}")
+    rounded = np.rint(img.pixels)
+    low, high = int(rounded.min()), int(rounded.max())
+    if low < 0 or high > maxval:
+        raise ValueError(f"pixel values round to {low}..{high}, "
+                         f"outside the declared range 0..{maxval}")
+    samples = rounded.astype(_sample_dtype(maxval))
+    del rounded  # free the float frame before the encoder copies the samples
+    atomic_write_bytes(path, _encode_pgm(samples, maxval, binary))
 
 
 def write_binary_image(img: BinaryImage, path: str | Path) -> None:
     """Write a thresholded picture as PGM with maxval 1: 0 = white, 1 = black."""
-    header = _pgm_header(True, img.width, img.height, 1)
-    atomic_write_bytes(path, header + img.bits.astype(np.uint8).tobytes())
+    atomic_write_bytes(path, _encode_pgm(img.bits.view(np.uint8), 1, True))
 
 
 def read_binary_image(path: str | Path) -> BinaryImage:
     """Read a maxval-1 PGM written by write_binary_image; 1 = black."""
-    img = read_image(path, format="pgm")
-    values = np.unique(img.pixels)
-    if not np.isin(values, (0.0, 1.0)).all():
-        raise ImageParseError(f"expected only 0/1 samples, found values {values[:5]}")
-    return _adopt_bits(img.pixels == 1.0)
+    samples = _read_pgm(Path(path).read_bytes())
+    if samples.max(initial=0) > 1:
+        values = np.unique(samples)[:5].astype(np.float64)
+        raise ImageParseError(f"expected only 0/1 samples, found values {values}")
+    return _adopt_bits(samples == 1)

@@ -246,10 +246,11 @@ class SceneSpec:
         truth = np.zeros((self.n, self.n), dtype=np.int32)
         flat = truth.reshape(-1)
         count = 0
-        for count, mask in enumerate(particles, start=1):
+        for mask in particles:  # no enumerate: its cached tuple would keep the last mask
             if np.shape(mask) != truth.shape:
-                raise ValueError(f"particle mask {count - 1} has shape {np.shape(mask)}, "
+                raise ValueError(f"particle mask {count} has shape {np.shape(mask)}, "
                                  f"expected {truth.shape}")
+            count += 1
             on = np.flatnonzero(mask)
             del mask  # so the next mask is built after this one is freed
             if flat[on].any():
@@ -546,8 +547,13 @@ def mc_detection(
     With theta=None each trial runs the full pipeline including the estimate
     step; passing a fixed theta skips estimation and thresholds directly,
     which is how pure-noise false-alarm experiments pin the black fraction.
+    Matching clusters to the truth (theta=None, or a scene with particles)
+    needs downsample_passes == 0.
     """
     n_particles = int(spec.truth.max())
+    if params.downsample_passes > 0 and (theta is None or n_particles > 0):
+        raise ValueError(f"downsample_passes must be 0 to match clusters to the "
+                         f"{spec.n}x{spec.n} truth, got {params.downsample_passes}")
     results = _run_trials(partial(_detection_trial, spec, noise, params, theta,
                                   n_particles == 0, seed), trials, jobs)
     all_detected = np.array([r[0] for r in results], dtype=bool)

@@ -278,6 +278,40 @@ def test_synth_pgm_scaled(scene_json, tmp_path):
     assert img.pixels.max() <= 65535
 
 
+def test_synth_out_suffix_follows_io(scene_json, tmp_path, capsys):
+    pgm, pnm = tmp_path / "scene.pgm", tmp_path / "scene.pnm"
+    for out in (pgm, pnm):
+        assert main(["synth", "--scene", str(scene_json), "--seed", "2", "--out", str(out)]) == 0
+    assert pnm.read_bytes() == pgm.read_bytes()
+    capsys.readouterr()
+    txt, truth = tmp_path / "scene.txt", tmp_path / "truth.pgm"
+    code = main(["synth", "--scene", str(scene_json), "--out", str(txt),
+                 "--truth-out", str(truth)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot infer image format" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json", "scene.pgm", "scene.pnm"]
+
+
+def test_csv_read_as_pgm_gives_a_short_diagnostic(scene_json, tmp_path, capsys):
+    out = tmp_path / "scene.csv"
+    assert main(["synth", "--scene", str(scene_json), "--out", str(out)]) == 0
+    wrong = tmp_path / "scene.pgm"
+    wrong.write_bytes(out.read_bytes())
+    capsys.readouterr()
+    assert main(["detect", "--in", str(wrong)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unsupported magic" in err and len(err) < 200
+
+
+def test_mc_detection_downsampling_a_particle_scene_exits_1(scene_json, capsys):
+    code = main(["mc-detection", "--scene", str(scene_json), "--trials", "2", "--jobs", "2",
+                 "--phi0", "16", "--phi1", "4"])  # the default --downsample 2
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "downsample_passes must be 0" in err
+
+
 def test_mc_consistency_csv(scene_json, tmp_path):
     out = tmp_path / "table.csv"
     code = main(["mc-consistency", "--scene", str(scene_json),

@@ -1,6 +1,7 @@
 """PGM and CSV readers/writers: format handling, round-trips, error paths."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,3 +309,91 @@ def test_read_binary_image_rejects_grayscale(tmp_path):
     path.write_bytes(b"P2\n2 1\n255\n0 7")
     with pytest.raises(ImageParseError, match="0/1"):
         read_binary_image(path)
+
+
+def test_p5_sample_above_maxval_located(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n2 1\n200\n" + bytes([0, 255]))
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    assert str(err.value) == "pixel value 255 exceeds maxval 200 (byte 12)"
+    path.write_bytes(b"P5\n3 1\n300\n" + bytes([0, 1, 1, 44, 1, 45]))  # 1, 300, 301
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    assert str(err.value) == "pixel value 301 exceeds maxval 300 (byte 15)"
+
+
+@pytest.mark.parametrize("data", [b"P5\n1 1\n255", b"P5\n1 1\n255#c\n\x00"])
+def test_p5_needs_whitespace_after_maxval(tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    assert str(err.value) == "missing whitespace after maxval in P5 header (line 3, byte 10)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n\n3,4\n", "empty row (line 2)"),
+    ("", "empty file (line 1)"),
+])
+def test_csv_empty_row_or_file(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    assert str(err.value) == message
+
+
+def test_long_bad_magic_is_cut_to_eight_bytes(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"0.123456789," * 500 + b"\n")
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    assert str(err.value) == ("unsupported magic b'0.123456', expected P2 or P5 "
+                              "(line 1, byte 0)")
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that call() allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+PEAK_SIDE = 1200  # the bounds below are in bytes per pixel of this side squared
+
+
+def test_read_binary_image_builds_no_float_frame(tmp_path):
+    from percopick import BinaryImage, read_binary_image, write_binary_image
+
+    n = PEAK_SIDE
+    bits = np.random.default_rng(3).random((n, n)) < 0.5
+    path = tmp_path / "bin.pgm"
+    write_binary_image(BinaryImage(bits), path)
+    back = []
+    assert traced_peak(lambda: back.append(read_binary_image(path))) <= 3 * n * n
+    assert np.array_equal(back[0].bits, bits)
+
+
+@pytest.mark.parametrize("maxval", [65535, 255])
+def test_write_image_peak_memory(tmp_path, maxval):
+    n = PEAK_SIDE
+    img = Micrograph(np.random.default_rng(4).random((n, n)) * maxval)
+    path = tmp_path / "x.pgm"
+    # the rounded float frame (8 bytes per pixel) and the samples, not an int64 frame
+    assert traced_peak(lambda: write_image(img, path, maxval=maxval)) <= 12 * n * n
+    assert np.array_equal(read_image(path).pixels, np.rint(img.pixels))
+
+
+def test_read_16bit_p5_peak_memory(tmp_path):
+    n = PEAK_SIDE
+    samples = np.random.default_rng(5).integers(0, 65536, (n, n)).astype(">u2")
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n%d %d\n65535\n" % (n, n) + samples.tobytes())
+    back = []
+    # the file's bytes and the float64 pixels, with no copy of the payload
+    assert traced_peak(lambda: back.append(read_image(path))) <= 12 * n * n
+    assert np.array_equal(back[0].pixels, samples)

@@ -15,24 +15,29 @@ from hypothesis import strategies as st
 from percopick import synth
 from percopick import (
     DetectParams,
+    DetectionStats,
     SceneSpec,
     TruncatedGaussianNoise,
     UniformNoise,
     annulus_gap_mask,
+    binarize,
+    black_clusters,
     disc_mask,
+    filter_clusters,
     find_clear_square,
     generate_scene,
     l_shape_mask,
     load_scene,
     mask_contains_square,
+    match_clusters,
     mc_consistency,
     mc_detection,
     percolation_phase,
     place_shape,
-    window_selection_bound,
     scene_from_dict,
     shape_library,
     square_mask,
+    window_selection_bound,
 )
 
 
@@ -361,6 +366,23 @@ class TestSceneJson:
 
         assert peak(60) <= peak(10) + 2 * n * n
 
+    def test_explicit_corner_holds_one_mask_at_a_time(self):
+        # 30 discs at 1200^2: the int32 truth (4 bytes per pixel) plus one bool
+        # mask; two live masks and their flatnonzero indices would reach 6
+        n = 1200
+        shapes = [{"kind": "disc", "size": 40, "row": i * 150 + 35, "col": j * 150 + 35}
+                  for i in range(8) for j in range(8)
+                  if (i + j) % 2 == 0 and not (i < 2 and j < 2)]
+        doc = dict(self.DOC, n=n, phi0=300, phi1=36, shapes=shapes, noise_square=[0, 0])
+        tracemalloc.start()
+        try:
+            spec, _ = scene_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.truth.max() == 30
+        assert peak <= 5.5 * n * n
+
     def test_no_room_for_noise_square(self):
         doc = dict(self.DOC, n=20, phi0=20,
                    shapes=[{"kind": "square", "size": 8, "row": 6, "col": 6}])
@@ -604,6 +626,48 @@ class TestMcDetection:
         serial = mc_detection(spec, noise, self.PARAMS, trials=8, seed=4, jobs=1)
         parallel = mc_detection(spec, noise, self.PARAMS, trials=8, seed=4, jobs=2)
         assert serial == parallel
+
+    def test_fixed_theta_on_particles_matches_a_direct_loop(self):
+        # the fixed-threshold path that matches clusters to the truth
+        spec = simple_scene(boxes=((70, 70, 20), (20, 90, 24)))
+        noise, theta, trials = UniformNoise(0.25), 0.41, 6
+        serial = mc_detection(spec, noise, self.PARAMS, trials=trials, seed=9, theta=theta)
+        parallel = mc_detection(spec, noise, self.PARAMS, trials=trials, seed=9, theta=theta,
+                                jobs=2)
+        assert serial.to_csv() == parallel.to_csv()
+        detected, false = [], []
+        for t in range(trials):
+            img, truth = generate_scene(spec, noise, [9, t])
+            kept = filter_clusters(black_clusters(binarize(img, theta)), 30)
+            summary = match_clusters(kept, truth)
+            detected.append(summary.all_detected)
+            false.append(summary.false_clusters)
+        assert serial == DetectionStats(
+            trials=trials, n_particles=2, all_detected_fraction=float(np.mean(detected)),
+            any_false_fraction=float(np.mean(np.array(false) > 0)),
+            mean_false_clusters=float(np.mean(false)))
+        assert 0 < serial.any_false_fraction < 1  # false clusters in some trials only
+
+    @pytest.mark.parametrize("theta, particles", [(None, True), (0.5, True), (None, False)])
+    def test_downsampling_with_truth_matching_fails_before_any_pool(
+            self, monkeypatch, theta, particles):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(synth, "ProcessPoolExecutor", no_pool)
+        spec = simple_scene(boxes=((70, 70, 20),) if particles else ())
+        params = DetectParams(phi0=16, phi1=4, min_cluster_pixels=30,
+                              downsample_passes=1, normalize=False)
+        with pytest.raises(ValueError, match=r"^downsample_passes must be 0 .* got 1$"):
+            mc_detection(spec, UniformNoise(0.1), params, trials=4, seed=0, theta=theta,
+                         jobs=2)
+
+    def test_downsampled_pure_noise_at_fixed_theta_still_runs(self):
+        spec = simple_scene(boxes=())
+        params = DetectParams(phi0=16, phi1=4, min_cluster_pixels=30,
+                              downsample_passes=1, normalize=False)
+        stats = mc_detection(spec, UniformNoise(0.2), params, trials=3, seed=0, theta=0.65)
+        assert stats.n_particles == 0 and stats.any_false_fraction == 0.0
 
 
 class FakeExecutor:
