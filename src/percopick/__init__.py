@@ -28,6 +28,7 @@ from .image import (
     WindowStats,
     build_integral,
     downsample2x,
+    downsample_samples,
     normalize_max1,
     window_sum,
 )

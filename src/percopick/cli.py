@@ -115,9 +115,9 @@ def _write_text(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_estimate(args) -> int:
-    img = read_image(args.input, args.format)
     params = _params_from_args(args)
-    pre = preprocess(img, params)
+    img = read_image(args.input, args.format, downsample_passes=params.downsample_passes)
+    pre = preprocess(img, params, passes_done=params.downsample_passes)
     est = estimate_intensities(pre, params.phi0, params.phi1)
     print(f"a_hat {fmt6(est.a_hat)}")
     print(f"b_hat {fmt6(est.b_hat)}")
@@ -127,8 +127,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    img = read_image(args.input, args.format)
-    artifacts = run_detection_artifacts(img, _params_from_args(args))
+    params = _params_from_args(args)
+    img = read_image(args.input, args.format, downsample_passes=params.downsample_passes)
+    artifacts = run_detection_artifacts(img, params, passes_done=params.downsample_passes)
     report = artifacts.report
     _write_text(args.output, report_to_json(report))
     if args.output is not None:

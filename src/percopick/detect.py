@@ -100,11 +100,18 @@ def compute_threshold(a_hat: float, b_hat: float) -> float:
     return (a_hat + b_hat) / 2.0
 
 
-def preprocess(img: Micrograph, params: DetectParams) -> Micrograph:
+def preprocess(img: Micrograph, params: DetectParams, *, passes_done: int = 0) -> Micrograph:
     """Apply downsample passes, then optional normalization; verify the result
-    is still large enough for both scan windows."""
+    is still large enough for both scan windows.
+
+    passes_done says how many of params.downsample_passes img has had already,
+    as read_image(path, downsample_passes=...) applies them.
+    """
+    if not 0 <= passes_done <= params.downsample_passes:
+        raise ValueError(f"passes_done must be in 0..{params.downsample_passes}, "
+                         f"got {passes_done}")
     out = img
-    for _ in range(params.downsample_passes):
+    for _ in range(params.downsample_passes - passes_done):
         out = downsample2x(out)
     if params.normalize:
         out = normalize_max1(out)
@@ -117,9 +124,11 @@ def preprocess(img: Micrograph, params: DetectParams) -> Micrograph:
     return out
 
 
-def run_detection_artifacts(img: Micrograph, params: DetectParams) -> DetectionArtifacts:
-    """Full pipeline, returning the report together with intermediate images."""
-    pre = preprocess(img, params)
+def run_detection_artifacts(img: Micrograph, params: DetectParams, *,
+                            passes_done: int = 0) -> DetectionArtifacts:
+    """Full pipeline, returning the report together with intermediate images;
+    passes_done is as in preprocess."""
+    pre = preprocess(img, params, passes_done=passes_done)
     estimates = estimate_intensities(pre, params.phi0, params.phi1)
     pre.__dict__.pop("integral", None)  # only the scans read the table; free it before labelling
     theta = compute_threshold(estimates.a_hat, estimates.b_hat)

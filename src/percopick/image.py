@@ -116,16 +116,20 @@ def window_sums(table: np.ndarray, side: int) -> np.ndarray:
 _STRIP_ROWS = 128  # output rows per strip in downsample2x
 
 
+def _halved(height: int, width: int) -> tuple[int, int]:
+    """The block grid of one 2x2 pass over a height x width image, whose
+    trailing odd row or column is dropped; an image without a full block fails."""
+    if height < 2 or width < 2:
+        raise ValueError(f"need at least a 2x2 image to downsample, got {width}x{height}")
+    return height // 2, width // 2
+
+
 def downsample2x(img: Micrograph) -> Micrograph:
     """Halve both dimensions by averaging 2x2 blocks.
 
     A trailing odd row or column is dropped rather than padded.
     """
-    if img.height < 2 or img.width < 2:
-        raise ValueError(
-            f"need at least a 2x2 image to downsample, got {img.width}x{img.height}"
-        )
-    h2, w2 = img.height // 2, img.width // 2
+    h2, w2 = _halved(img.height, img.width)
     px = img.pixels[: 2 * h2, : 2 * w2]
     if w2 == 1:  # one block wide: numpy's mean adds the four pixels in plain sequence
         return _adopt(px.reshape(h2, 2, 1, 2).mean(axis=(1, 3)))
@@ -139,6 +143,33 @@ def downsample2x(img: Micrograph) -> Micrograph:
         strip = bottom[r : r + _STRIP_ROWS]
         out[r : r + _STRIP_ROWS] += strip[:, 0::2] + strip[:, 1::2]
     out /= 4
+    return _adopt(out)
+
+
+def downsample_samples(samples: np.ndarray, passes: int) -> Micrograph:
+    """The image that `passes` downsample2x calls give on a 2D array of integer
+    samples in 0..65535, with no float64 frame at the source size.
+
+    Each pass sums 2x2 blocks in integers, dropping a trailing odd row or
+    column; the sums become float64 once and are divided once by 4**passes.
+    The result is bit-identical to the float passes: a sum of at most 4**passes
+    samples is an exact float64, and so is its quotient by a power of two.
+    """
+    if passes < 0:
+        raise ValueError(f"downsample passes must be >= 0, got {passes}")
+    a = samples
+    if a.dtype.kind == "i":  # signed samples do not cast into unsigned sums
+        acc = np.int64
+    else:
+        acc = np.uint32 if 4**passes * 65535 < 2**32 else np.uint64
+    for _ in range(passes):
+        h2, w2 = _halved(*a.shape)
+        rows = a[0 : 2 * h2 : 2].astype(acc)  # contiguous row pairs first, so the
+        rows += a[1 : 2 * h2 : 2]  # strided column sum reads half the frame
+        a = rows[:, 0 : 2 * w2 : 2] + rows[:, 1 : 2 * w2 : 2]
+    out = a.astype(np.float64)
+    if passes:
+        out /= 4**passes
     return _adopt(out)
 
 

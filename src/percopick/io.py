@@ -3,7 +3,9 @@
 PGM payloads are raw integer samples in [0, maxval]. Both PGM readers parse
 them with _read_pgm and both writers encode them with _encode_pgm; samples
 become float64 pixels once (read_image, no rescaling) and float pixels become
-samples once (write_image). CSV stores decimal floats and round-trips exactly.
+samples once (write_image). read_image can apply downsample passes while it
+reads; on PGM samples they are exact integer block sums, so only the reduced
+image is ever float64. CSV stores decimal floats and round-trips exactly.
 Writers are atomic (temp file + rename).
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import Micrograph, _adopt
+from .image import Micrograph, _adopt, downsample2x, downsample_samples
 from .percolation import BinaryImage, _adopt_bits
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
@@ -141,7 +143,8 @@ def _read_pgm(data: bytes) -> np.ndarray:
     if found > needed:
         raise ImageParseError("trailing bytes after P5 payload", offset=start + needed)
     values = np.frombuffer(data, dtype, count, start)
-    if values.max(initial=0) > maxval:
+    # at the largest maxval of the sample width no sample can exceed it
+    if maxval != np.iinfo(dtype).max and values.max(initial=0) > maxval:
         bad = int(np.argmax(values > maxval))
         raise ImageParseError(
             f"pixel value {int(values[bad])} exceeds maxval {maxval}",
@@ -202,13 +205,25 @@ def _resolve_format(path: str | Path, format: str | None) -> str:
     )
 
 
-def read_image(path: str | Path, format: str | None = None) -> Micrograph:
-    """Read a PGM or CSV image; format inferred from the suffix when omitted."""
+def read_image(
+    path: str | Path, format: str | None = None, *, downsample_passes: int = 0
+) -> Micrograph:
+    """Read a PGM or CSV image; format inferred from the suffix when omitted.
+
+    The result is the image after `downsample_passes` downsample2x passes,
+    bit for bit. PGM samples are block-summed as integers and become float64
+    only at the reduced size (downsample_samples).
+    """
+    if downsample_passes < 0:
+        raise ValueError(f"downsample passes must be >= 0, got {downsample_passes}")
     fmt = _resolve_format(path, format)
     data = Path(path).read_bytes()
     if fmt == "pgm":
-        return _adopt(_read_pgm(data).astype(np.float64))
-    return _read_csv(data)
+        return downsample_samples(_read_pgm(data), downsample_passes)
+    img = _read_csv(data)
+    for _ in range(downsample_passes):
+        img = downsample2x(img)
+    return img
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

@@ -106,6 +106,13 @@ def test_missing_file_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_parameters_are_checked_before_the_image_is_read(tmp_path, capsys):
+    code = main(["detect", "--downsample", "-1", "--in", str(tmp_path / "missing.pgm")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "downsample_passes" in err
+
+
 def test_malformed_image_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P5\n8 8\n255\nshort")

@@ -14,9 +14,11 @@ from percopick import (
     Micrograph,
     black_clusters,
     compute_threshold,
+    downsample2x,
     filter_clusters,
     match_clusters,
     match_detections,
+    preprocess,
     report_to_json,
     run_detection,
     run_detection_artifacts,
@@ -127,6 +129,21 @@ class TestRunDetection:
         assert report.estimates.b_hat == 1.0  # normalized peak
         assert report.decision is Decision.PARTICLES_FOUND
         assert report.clusters_kept[0].pixel_count == 400  # 40x40 halved to 20x20
+
+    def test_passes_done_skip_the_first_passes(self):
+        img = two_level_image(n=256, a=0.0, b=4.0, box=(80, 120, 40, 40))
+        params = DetectParams(phi0=32, phi1=8, downsample_passes=2, normalize=False)
+        halved = downsample2x(img)
+        report = run_detection(img, params)
+        done = run_detection_artifacts(halved, params, passes_done=1).report
+        assert report_to_json(done) == report_to_json(report)
+        assert done.params.downsample_passes == 2  # the report keeps the caller's count
+
+    @pytest.mark.parametrize("passes_done", [-1, 3])
+    def test_passes_done_outside_the_passes_rejected(self, passes_done):
+        params = DetectParams(phi0=8, phi1=4, downsample_passes=2, normalize=False)
+        with pytest.raises(ValueError, match=r"^passes_done must be in 0\.\.2, got "):
+            preprocess(two_level_image(n=64), params, passes_done=passes_done)
 
     def test_min_cluster_monotonicity(self):
         rng = np.random.default_rng(21)

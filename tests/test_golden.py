@@ -18,15 +18,22 @@ from percopick import (
     Micrograph,
     SceneSpec,
     UniformNoise,
+    compute_threshold,
     disc_mask,
     generate_scene,
+    estimate_intensities,
     mc_consistency,
     mc_detection,
     place_shape,
+    preprocess,
+    read_image,
+    report_to_json,
+    run_detection,
     shape_library,
     square_mask,
     write_image,
 )
+from percopick.detect import fmt6
 from percopick.cli import main
 
 # sha256 of the three files `percopick detect` writes for the scene below
@@ -86,6 +93,31 @@ def test_detect_outputs_match_golden_hashes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("decision ParticlesFound ")
     got = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in outs.items()}
     assert got == GOLDEN_DETECT
+
+
+@pytest.fixture(scope="module")
+def disc_scene_pgm(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "scene.pgm"
+    _disc_scene_pgm(path)
+    return path
+
+
+def test_estimate_matches_the_library_path(disc_scene_pgm, capsys):
+    # the library path reads at full size; the CLI downsamples while reading
+    assert main(["estimate", "--in", str(disc_scene_pgm)]) == 0
+    params = DetectParams()
+    est = estimate_intensities(preprocess(read_image(disc_scene_pgm), params),
+                               params.phi0, params.phi1)
+    theta = compute_threshold(est.a_hat, est.b_hat)
+    assert capsys.readouterr().out.splitlines() == [
+        f"a_hat {fmt6(est.a_hat)}", f"b_hat {fmt6(est.b_hat)}", f"theta {fmt6(theta)}"]
+
+
+def test_detect_report_matches_the_library_path(disc_scene_pgm, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["detect", "--in", str(disc_scene_pgm), "--out", str(out)]) == 0
+    report = run_detection(read_image(disc_scene_pgm), DetectParams())
+    assert out.read_text() == report_to_json(report)
 
 
 def test_disc_scene_carries_one_label_image():

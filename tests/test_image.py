@@ -7,6 +7,7 @@ from percopick import (
     Micrograph,
     build_integral,
     downsample2x,
+    downsample_samples,
     normalize_max1,
     window_sum,
 )
@@ -188,6 +189,43 @@ class TestDownsample:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             downsample2x(Micrograph([[1.0, 2.0]]))
+
+
+class TestDownsampleSamples:
+    @pytest.mark.parametrize("dtype", [np.uint8, ">u2", np.uint16, np.int64])
+    @pytest.mark.parametrize("passes", [0, 1, 2, 3])
+    def test_matches_float_passes(self, dtype, passes):
+        high = 255 if dtype == np.uint8 else 65535
+        samples = np.random.default_rng(passes).integers(0, high + 1, (37, 29)).astype(dtype)
+        want = Micrograph(samples.astype(np.float64))
+        for _ in range(passes):
+            want = downsample2x(want)
+        got = downsample_samples(samples, passes)
+        assert got.pixels.shape == want.pixels.shape
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+
+    @pytest.mark.parametrize("passes", [8, 9])  # the last uint32 pass count, then uint64
+    def test_largest_sums_stay_exact(self, passes):
+        side = 2**passes
+        out = downsample_samples(np.full((side, side), 65535, np.uint16), passes)
+        assert out.pixels.tolist() == [[65535.0]]
+
+    def test_too_small_fails_at_the_same_pass(self):
+        samples = np.zeros((5, 9), np.uint8)  # 9x5, then 4x2, then 2x1
+        assert downsample_samples(samples, 2).pixels.shape == (1, 2)
+        with pytest.raises(ValueError, match=r"^need at least a 2x2 image to downsample, "
+                                             r"got 2x1$"):
+            downsample_samples(samples, 3)
+
+    def test_negative_passes_rejected(self):
+        with pytest.raises(ValueError, match=r"^downsample passes must be >= 0, got -1$"):
+            downsample_samples(np.zeros((4, 4), np.uint8), -1)
+
+    def test_result_is_a_fresh_read_only_image(self):
+        samples = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        out = downsample_samples(samples, 0)
+        assert out.pixels.base is None and not out.pixels.flags.writeable
+        assert out.pixels.tolist() == samples.tolist()
 
 
 class TestNormalize:

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from percopick import ImageParseError, Micrograph, read_image, write_image
+from percopick import ImageParseError, Micrograph, downsample2x, read_image, write_image
 
 
 def test_p2_ascii_basic(tmp_path):
@@ -229,6 +229,56 @@ def test_binary_image_round_trip_property(tmp_path, bits):
     assert np.array_equal(read_binary_image(path).bits, bits)
 
 
+def _outcome(read):
+    """(shape, bytes) of the pixels read(), or the message of its ValueError."""
+    try:
+        img = read()
+    except ValueError as exc:
+        return str(exc)
+    return img.pixels.shape, img.pixels.tobytes()
+
+
+def _read_then_downsample(path, passes):
+    img = read_image(path)
+    for _ in range(passes):
+        img = downsample2x(img)
+    return img
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(binary=st.booleans(), maxval=st.sampled_from([1, 255, 1000, 65535]),
+       height=st.integers(1, 25), width=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 25)),
+       passes=st.integers(0, 3), full=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(binary=True, maxval=65535, height=24, width=24, passes=3, full=True, seed=0)
+@example(binary=False, maxval=1000, height=3, width=17, passes=2, full=False, seed=1)
+def test_downsampling_read_matches_read_then_downsample(tmp_path, binary, maxval, height, width,
+                                                       passes, full, seed):
+    # full: every sample at maxval, so the block sums are the largest they get
+    samples = (np.full((height, width), maxval) if full
+               else np.random.default_rng(seed).integers(0, maxval + 1, (height, width)))
+    path = tmp_path / "x.pgm"
+    write_image(Micrograph(samples.astype(np.float64)), path, maxval=maxval, binary=binary)
+    assert (_outcome(lambda: read_image(path, downsample_passes=passes))
+            == _outcome(lambda: _read_then_downsample(path, passes)))
+
+
+@pytest.mark.parametrize("passes", [0, 1, 2])
+def test_downsampling_read_of_csv_matches_read_then_downsample(tmp_path, passes):
+    path = tmp_path / "x.csv"
+    write_image(Micrograph(np.random.default_rng(passes).random((9, 7))), path)
+    assert (_outcome(lambda: read_image(path, downsample_passes=passes))
+            == _outcome(lambda: _read_then_downsample(path, passes)))
+
+
+@pytest.mark.parametrize("name", ["x.pgm", "x.csv"])
+def test_negative_downsample_passes_rejected(tmp_path, name):
+    path = tmp_path / name
+    write_image(Micrograph(np.ones((4, 4))), path)
+    with pytest.raises(ValueError, match=r"^downsample passes must be >= 0, got -1$"):
+        read_image(path, downsample_passes=-1)
+
+
 def test_unknown_magic(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
@@ -386,6 +436,18 @@ def test_write_image_peak_memory(tmp_path, maxval):
     # the rounded float frame (8 bytes per pixel) and the samples, not an int64 frame
     assert traced_peak(lambda: write_image(img, path, maxval=maxval)) <= 12 * n * n
     assert np.array_equal(read_image(path).pixels, np.rint(img.pixels))
+
+
+def test_downsampling_read_of_16bit_p5_peak_memory(tmp_path):
+    n = PEAK_SIDE
+    samples = np.random.default_rng(6).integers(0, 65536, (n, n)).astype(">u2")
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n%d %d\n65535\n" % (n, n) + samples.tobytes())
+    back = []
+    # the file's bytes and the integer block sums: no float64 frame at the source size
+    assert traced_peak(lambda: back.append(read_image(path, downsample_passes=2))) <= 6.5 * n * n
+    want = _read_then_downsample(path, 2).pixels
+    assert back[0].pixels.tobytes() == want.tobytes()
 
 
 def test_read_16bit_p5_peak_memory(tmp_path):
