@@ -30,7 +30,6 @@ from .image import (
     downsample2x,
     downsample_samples,
     normalize_max1,
-    window_sum,
 )
 from .io import (
     ImageParseError,
@@ -50,13 +49,11 @@ from .percolation import (
     cluster_sizes,
     filter_clusters,
     label_black,
-    tri_neighbors,
 )
 from .scan import (
     IntensityEstimates,
     estimate_intensities,
     estimate_lower,
-    estimate_upper,
     naive_mean,
     scan_max_window,
     scan_min_window,

@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     except DegenerateEstimatesError as exc:
         print(f"percopick: error: {exc}", file=sys.stderr)
         return 2
-    except (_CliError, ValueError, OSError, KeyError) as exc:
+    except (_CliError, ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"percopick: error: {exc}", file=sys.stderr)
         return 1
 

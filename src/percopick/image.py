@@ -92,20 +92,6 @@ def _cumulative_table(array: np.ndarray) -> np.ndarray:
     return table
 
 
-def window_sum(table: np.ndarray, row: int, col: int, side: int) -> float:
-    """Sum of the side x side window with top-left corner (row, col)."""
-    height, width = table.shape[0] - 1, table.shape[1] - 1
-    if side < 1:
-        raise ValueError(f"window side must be >= 1, got {side}")
-    if row < 0 or col < 0 or row + side > height or col + side > width:
-        raise ValueError(
-            f"window (row={row}, col={col}, side={side}) not inside "
-            f"a {width}x{height} image"
-        )
-    corners = table[row : row + side + 1 : side, col : col + side + 1 : side]
-    return float(window_sums(corners, 1)[0, 0])
-
-
 def window_sums(table: np.ndarray, side: int) -> np.ndarray:
     """Sums of every side x side window of a cumulative-sum table, indexed by
     top-left corner: the one four-corner formula of the package."""

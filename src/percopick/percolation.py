@@ -10,8 +10,7 @@ inside particles from clusters grown in background noise.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -56,25 +55,16 @@ def _adopt_bits(bits: np.ndarray) -> BinaryImage:
     return BinaryImage(bits)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Cluster:
-    """A maximal black connected component: label _label of the label image of
-    the ClusterSequence that holds it. bbox is (min_row, min_col, max_row,
-    max_col); pixels, built from the label image only when read, is an (n, 2)
-    array of (row, col) pairs in row-major scan order.
+    """A maximal black connected component. bbox is (min_row, min_col,
+    max_row, max_col); the pixels of the i-th cluster of a ClusterSequence
+    are where its label image equals i + 1.
     """
 
     id: int
     pixel_count: int
     bbox: tuple[int, int, int, int]
-    _labels: np.ndarray = field(repr=False)
-    _label: int = field(repr=False)
-
-    @cached_property
-    def pixels(self) -> np.ndarray:
-        r0, c0, r1, c1 = self.bbox
-        rr, cc = np.nonzero(self._labels[r0 : r1 + 1, c0 : c1 + 1] == self._label)  # row-major
-        return np.column_stack((rr + r0, cc + c0))
 
 
 def binarize(img: Micrograph, theta: float) -> BinaryImage:
@@ -83,20 +73,6 @@ def binarize(img: Micrograph, theta: float) -> BinaryImage:
     if not np.isfinite(theta):
         raise ValueError(f"threshold must be finite, got {theta}")
     return _adopt_bits(img.pixels >= theta)
-
-
-def tri_neighbors(row: int, col: int, width: int, height: int) -> list[tuple[int, int]]:
-    """In-bounds triangular-lattice neighbors of (row, col)."""
-    if not (0 <= row < height and 0 <= col < width):
-        raise ValueError(
-            f"pixel (row={row}, col={col}) not inside a {width}x{height} image"
-        )
-    out = []
-    for dr, dc in TRI_OFFSETS:
-        r, c = row + dr, col + dc
-        if 0 <= r < height and 0 <= c < width:
-            out.append((r, c))
-    return out
 
 
 def label_black(image: BinaryImage) -> tuple[np.ndarray, int]:
@@ -139,9 +115,8 @@ class ClusterSequence(Sequence):
         if self._built is None:
             boxes = ndimage.find_objects(self.labels, max_label=len(self))
             self._built = tuple(
-                Cluster(cid, size, (rows.start, cols.start, rows.stop - 1, cols.stop - 1),
-                        self.labels, k) for k, (cid, size, (rows, cols))
-                in enumerate(zip(self.ids.tolist(), self.sizes.tolist(), boxes), 1))
+                Cluster(cid, size, (rows.start, cols.start, rows.stop - 1, cols.stop - 1))
+                for cid, size, (rows, cols) in zip(self.ids.tolist(), self.sizes.tolist(), boxes))
         return list(self._built[index]) if isinstance(index, slice) else self._built[index]
 
     def __eq__(self, other):

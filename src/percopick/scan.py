@@ -61,11 +61,6 @@ def estimate_lower(img: Micrograph, phi0: int) -> float:
     return scan_min_window(img, phi0).mean
 
 
-def estimate_upper(img: Micrograph, phi1: int) -> float:
-    """Particle intensity estimate: mean of the maximum-sum phi1 window."""
-    return scan_max_window(img, phi1).mean
-
-
 def estimate_intensities(img: Micrograph, phi0: int, phi1: int) -> IntensityEstimates:
     """Run both scans and bundle the results."""
     low = scan_min_window(img, phi0)

@@ -276,11 +276,6 @@ class SceneSpec:
         truth.setflags(write=False)
         object.__setattr__(self, "truth", truth)
 
-    @property
-    def truth_image(self) -> np.ndarray:
-        """The two-level image: b on the particles, a elsewhere."""
-        return np.where(self.truth > 0, float(self.b), float(self.a))
-
 
 def generate_scene(spec: SceneSpec, noise: NoiseModel, seed) -> tuple[Micrograph, np.ndarray]:
     """Render the two-level truth image plus i.i.d. noise; reproducible from seed.
@@ -465,6 +460,8 @@ def _run_trials(trial, trials: int, jobs: int) -> list:
     """[trial(t) for t in range(trials)]; each worker process runs one contiguous range."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, trials)
     if workers <= 1:
         return [trial(t) for t in range(trials)]

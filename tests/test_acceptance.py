@@ -23,7 +23,6 @@ from percopick import (
     build_integral,
     cluster_sizes,
     estimate_lower,
-    estimate_upper,
     generate_scene,
     mc_detection,
     naive_mean,
@@ -35,8 +34,8 @@ from percopick import (
     scan_min_window,
     shape_library,
     square_mask,
-    window_sum,
 )
+from percopick.image import window_sums
 
 SEED = 113355
 
@@ -64,12 +63,9 @@ def test_criterion_1_oracle_equivalence():
             pixels = np.floor(pixels * 9) / 8.0
         img = Micrograph(pixels)
         ii = build_integral(img)
-        t = ii
         for side in range(1, min(h, w) + 1):
             brute = sliding_window_view(pixels, (side, side)).sum(axis=(2, 3))
-            via_table = (
-                t[side:, side:] - t[:-side, side:] - t[side:, :-side] + t[:-side, :-side]
-            )
+            via_table = window_sums(ii, side)
             max_sum_err = max(max_sum_err, float(np.abs(via_table - brute).max()))
             # exhaustive argmin/argmax on the directly-summed grid,
             # first occurrence in row-major order = lexicographic tie-break
@@ -79,13 +75,6 @@ def test_criterion_1_oracle_equivalence():
             whi = scan_max_window(img, side)
             assert (wlo.row, wlo.col) == lo, f"argmin mismatch image {i} side {side}"
             assert (whi.row, whi.col) == hi, f"argmax mismatch image {i} side {side}"
-        # tie the window_sum operation itself in at sampled positions
-        for _ in range(10):
-            side = int(rng_master.integers(1, min(h, w) + 1))
-            r = int(rng_master.integers(0, h - side + 1))
-            c = int(rng_master.integers(0, w - side + 1))
-            direct = float(pixels[r : r + side, c : c + side].sum())
-            assert abs(window_sum(ii, r, c, side) - direct) <= 1e-9
     elapsed = time.time() - start
     ok = max_sum_err <= 1e-9 and elapsed < 10
     check(
@@ -120,7 +109,7 @@ def estimator_family():
         img, _ = generate_scene(spec, noise, [SEED, 20, trial])
         for phi0 in (16, 32, 64):
             errs_a[phi0].append(abs(estimate_lower(img, phi0) - spec.a))
-        errs_b.append(abs(estimate_upper(img, 16) - spec.b))
+        errs_b.append(abs(scan_max_window(img, 16).mean - spec.b))
         errs_naive.append(abs(naive_mean(img) - spec.a))
     return {
         "median_a": {k: float(np.median(v)) for k, v in errs_a.items()},
@@ -315,10 +304,8 @@ def test_criterion_9_pipeline_invariants():
     shifted = run_detection_artifacts(Micrograph(img.pixels + 0.17), params)
 
     binary_same = bool(np.array_equal(base.binary.bits, shifted.binary.bits))
-    clusters_same = len(base.report.clusters_kept) == len(shifted.report.clusters_kept) and all(
-        np.array_equal(c0.pixels, c1.pixels)
-        for c0, c1 in zip(base.report.clusters_kept, shifted.report.clusters_kept)
-    )
+    kept0, kept1 = base.report.clusters_kept, shifted.report.clusters_kept
+    clusters_same = len(kept0) == len(kept1) and np.array_equal(kept0.labels, kept1.labels)
     decision_same = base.report.decision == shifted.report.decision
 
     est = base.report.estimates

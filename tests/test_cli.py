@@ -348,3 +348,28 @@ def test_percolation_phase_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "p,trial,largest_cluster,largest_fraction,n_clusters"
     assert len(lines) == 7
+
+
+# Each request below is above 2**48 bytes, more than an x86-64 process can map,
+# so it fails at allocation under any overcommit setting and touches no memory.
+@pytest.mark.parametrize("argv", [
+    ["percolation-phase", "--n", "20000000", "--p", "0.5", "--trials", "1"],  # float64 field
+    ["synth", "--scene", "{scene}", "--out", "{out}"],  # int32 truth of an n = 10**7 scene
+], ids=["phase_field", "synth_truth"])
+def test_unallocatable_frame_exits_1_with_one_line(argv, tmp_path, capsys):
+    scene = tmp_path / "huge.json"
+    scene.write_text(json.dumps({"n": 10_000_000, "a": 0.3, "b": 0.7, "phi0": 32, "phi1": 8,
+                                 "shapes": [], "noise": {"kind": "uniform", "half_width": 0.1}}))
+    argv = [a.format(scene=scene, out=tmp_path / "huge.pgm") for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Unable to allocate" in err
+    assert not (tmp_path / "huge.pgm").exists()
+
+
+@pytest.mark.parametrize("command, jobs", [("mc-consistency", "-4"), ("mc-detection", "0")])
+def test_jobs_below_one_exits_1(command, jobs, scene_json, capsys):
+    extra = ["--phi0-grid", "8,16"] if command == "mc-consistency" else ["--downsample", "0"]
+    assert main([command, "--scene", str(scene_json), "--trials", "2",
+                 "--jobs", jobs, *extra]) == 1
+    assert capsys.readouterr().err == f"percopick: error: jobs must be >= 1, got {jobs}\n"

@@ -1,11 +1,13 @@
-"""Every module of the package uses what it imports, and imports nothing
-private from another module.
+"""Every module of the package uses what it imports, imports nothing private
+from another module, and re-exports nothing that no module reads.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: an imported name that no other node of the module reads is an
 error, and so is an imported name with a leading underscore, except the
 ownership helpers that let an image type take an array without a copy.
-`__init__.py` re-exports on purpose and is skipped.
+`__init__.py` re-exports on purpose and is skipped by the first two checks;
+the third asks that each name it re-exports is read by some package module or
+by the benchmark, which patches layer functions by their names as strings.
 """
 
 import ast
@@ -15,7 +17,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "percopick"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 HANDOVERS = {"_adopt", "_adopt_bits", "_owned"}
+ENTRY_POINTS = {"run_detection"}  # the documented library entry point
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,3 +60,32 @@ def test_detector_flags_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_imports_nothing_private(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def names_read(source: str, strings: bool = False) -> set[str]:
+    """Names a module reads: loaded names, attributes, and with strings=True
+    string constants. A def, class or assignment target is not a read."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_detector_ignores_definitions_and_imports():
+    source = "from .image import window_sum\ndef tri_neighbors():\n    pass\nx = scan.estimate_lower\n"
+    assert names_read(source) == {"scan", "estimate_lower"}
+    assert "patched" in names_read("PATCHES = [(synth, 'patched')]\n", strings=True)
+
+
+def test_every_export_is_read():
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in MODULES),
+                       *(names_read(p.read_text(encoding="utf-8"), strings=True) for p in PERFBENCH))
+    assert sorted(exported - read - ENTRY_POINTS) == []

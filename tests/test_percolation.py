@@ -2,7 +2,8 @@
 
 The labeling engine is checked against an independent reference: an
 explicit-stack depth-first search over tri_neighbors, seeded in row-major
-order. The two must produce identical partitions and identical ids.
+order. The two must produce identical partitions and identical ids. A
+cluster's pixels are read from the label image of the sequence that holds it.
 """
 
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percopick import (
+    TRI_OFFSETS,
     BinaryImage,
     Micrograph,
     bernoulli_field,
@@ -21,8 +23,26 @@ from percopick import (
     cluster_sizes,
     filter_clusters,
     label_black,
-    tri_neighbors,
 )
+
+
+def tri_neighbors(row, col, width, height):
+    """In-bounds triangular-lattice neighbors of (row, col): the oracle's walk."""
+    if not (0 <= row < height and 0 <= col < width):
+        raise ValueError(
+            f"pixel (row={row}, col={col}) not inside a {width}x{height} image"
+        )
+    out = []
+    for dr, dc in TRI_OFFSETS:
+        r, c = row + dr, col + dc
+        if 0 <= r < height and 0 <= c < width:
+            out.append((r, c))
+    return out
+
+
+def pixels_of(clusters, i):
+    """Row-major (row, col) pixels of the i-th cluster of a ClusterSequence."""
+    return np.argwhere(clusters.labels == i + 1)
 
 
 def dfs_labels(bits):
@@ -138,10 +158,11 @@ class TestBlackClusters:
     def test_single_pixel(self):
         bits = np.zeros((4, 4), dtype=bool)
         bits[2, 1] = True
-        (cluster,) = black_clusters(BinaryImage(bits))
+        clusters = black_clusters(BinaryImage(bits))
+        (cluster,) = clusters
         assert cluster.id == 0
         assert cluster.pixel_count == 1
-        assert cluster.pixels.tolist() == [[2, 1]]
+        assert pixels_of(clusters, 0).tolist() == [[2, 1]]
         assert cluster.bbox == (2, 1, 2, 1)
 
     def test_main_diagonal_is_not_an_edge(self):
@@ -161,9 +182,9 @@ class TestBlackClusters:
         bits[5, 5] = True          # third
         clusters = black_clusters(BinaryImage(bits))
         assert [c.id for c in clusters] == [0, 1, 2]
-        assert clusters[0].pixels.tolist() == [[0, 4]]
+        assert pixels_of(clusters, 0).tolist() == [[0, 4]]
         assert clusters[1].pixel_count == 2
-        assert clusters[2].pixels.tolist() == [[5, 5]]
+        assert pixels_of(clusters, 2).tolist() == [[5, 5]]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_partition_identical_to_dfs_reference(self, seed):
@@ -188,8 +209,8 @@ class TestBlackClusters:
         total = sum(c.pixel_count for c in clusters)
         assert total == int(bits.sum())
         seen = set()
-        for c in clusters:
-            for r, col in c.pixels:
+        for i in range(len(clusters)):
+            for r, col in pixels_of(clusters, i):
                 assert bits[r, col]
                 assert (r, col) not in seen
                 seen.add((r, col))
@@ -267,7 +288,8 @@ class TestFilterClusters:
         assert cluster_sizes(BinaryImage(bits)).tolist() == np.bincount(
             ref_labels[ref_labels >= 0], minlength=ref_count).tolist()
         kept = filter_clusters(clusters, min_pixels)
-        assert [(c.id, c.pixel_count, c.bbox, c.pixels.tolist()) for c in kept] == expected
+        assert [(c.id, c.pixel_count, c.bbox, pixels_of(kept, i).tolist())
+                for i, c in enumerate(kept)] == expected
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(height=st.integers(1, 64), width=st.integers(1, 64),
@@ -277,7 +299,8 @@ class TestFilterClusters:
         bits = np.random.default_rng(seed).random((height, width)) < p
         kept = filter_clusters(black_clusters(BinaryImage(bits)), min_pixels)
         expected = brute_force_kept(bits, min_pixels)
-        assert [(c.id, c.pixel_count, c.bbox, c.pixels.tolist()) for c in kept] == expected
+        assert [(c.id, c.pixel_count, c.bbox, pixels_of(kept, i).tolist())
+                for i, c in enumerate(kept)] == expected
         # the label image holds i + 1 on the i-th kept cluster and 0 elsewhere
         painted = np.zeros((height, width), dtype=np.int64)
         for i, (_, _, _, pixels) in enumerate(expected, 1):

@@ -7,7 +7,6 @@ from percopick import (
     Micrograph,
     estimate_intensities,
     estimate_lower,
-    estimate_upper,
     naive_mean,
     scan_max_window,
     scan_min_window,
@@ -103,7 +102,7 @@ class TestEstimates:
         pixels[4:14, 18:28] = 0.75  # a 10x10 particle
         img = Micrograph(pixels)
         assert estimate_lower(img, 8) == 0.25
-        assert estimate_upper(img, 8) == 0.75
+        assert scan_max_window(img, 8).mean == 0.75
 
     def test_estimates_bundle_consistency(self):
         rng = np.random.default_rng(17)

@@ -167,8 +167,8 @@ class TestSceneSpec:
     def test_valid_scene(self):
         spec = simple_scene()
         assert spec.truth.max() == 1
-        assert spec.truth_image[0, 0] == 0.3
-        assert spec.truth_image[75, 75] == 0.7
+        assert spec.truth[0, 0] == 0
+        assert spec.truth[75, 75] == 1
 
     def test_overlapping_particles_rejected(self):
         masks = (
@@ -710,9 +710,15 @@ class TestRunTrials:
         assert synth._run_trials(lambda t: t * t, trials, jobs) == [t * t for t in range(trials)]
         assert [(p.max_workers, p.chunksize) for p in fake_pool] == [(workers, chunksize)]
 
-    @pytest.mark.parametrize("jobs,trials", [(1, 5), (0, 5), (4, 1)])
+    @pytest.mark.parametrize("jobs,trials", [(1, 5), (4, 1)])
     def test_one_worker_runs_in_process(self, fake_pool, jobs, trials):
         assert synth._run_trials(lambda t: t, trials, jobs) == list(range(trials))
+        assert fake_pool == []
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_checked_before_any_work(self, fake_pool, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            synth._run_trials(_pid, 5, jobs)
         assert fake_pool == []
 
     @pytest.mark.parametrize("trials", [0, -1])
