@@ -107,7 +107,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        atomic_write_bytes(path, text.encode("utf-8"))
+        atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
-"""Image file I/O: PGM (P2 ASCII, P5 binary) and CSV float grids.
+"""Image file I/O: PGM (read P2 ASCII and P5 binary, write P5) and CSV float grids.
 
 PGM payloads are raw integer samples in [0, maxval]. Both PGM readers parse
-them with _read_pgm and both writers encode them with _encode_pgm; samples
-become float64 pixels once (read_image, no rescaling) and float pixels become
-samples once (write_image). read_image can apply downsample passes while it
-reads; on PGM samples they are exact integer block sums, so only the reduced
-image is ever float64. CSV stores decimal floats and round-trips exactly.
-Writers are atomic (temp file + rename).
+them with _read_pgm and both writers emit them with _pgm_chunks; samples
+become float64 pixels once (read_image, no rescaling) and float pixels are
+rounded straight into samples (write_image). read_image can apply downsample
+passes while it reads; on PGM samples they are exact integer block sums, so
+only the reduced image is ever float64. CSV stores decimal floats and
+round-trips exactly. Writers are atomic (temp file + rename) and stream the
+file as it is encoded: a header and the samples, or one CSV row at a time.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import tempfile
+import secrets
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -226,13 +228,18 @@ def read_image(
     return img
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write a file atomically: temp file in the same directory, then rename."""
+def atomic_write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write bytes-like chunks to a file atomically: a new temp file in the
+    same directory, then rename. The file gets the mode open() would give it
+    (0o666 less the umask); on any error the temp file is removed."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    # O_EXCL refuses an existing file; a clash of 64 random bits is not retried
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -242,54 +249,46 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _encode_pgm(samples: np.ndarray, maxval: int, binary: bool) -> bytes:
-    """The PGM file of a height x width array of integer samples in 0..maxval."""
+def _pgm_chunks(samples: np.ndarray, maxval: int) -> tuple[bytes, np.ndarray]:
+    """The P5 header and payload of C-ordered _sample_dtype(maxval) samples."""
     height, width = samples.shape
-    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode("ascii")
-    if binary:
-        return header + samples.astype(_sample_dtype(maxval), copy=False).tobytes()
-    body = "\n".join(" ".join(map(str, row)) for row in samples.tolist())
-    return header + (body + "\n").encode("ascii")
-
-
-def _encode_csv(img: Micrograph) -> bytes:
-    # repr() round-trips float64 exactly
-    lines = (",".join(repr(v) for v in row) for row in img.pixels.tolist())
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return f"P5\n{width} {height}\n{maxval}\n".encode("ascii"), samples
 
 
 def write_image(
-    img: Micrograph,
-    path: str | Path,
-    format: str | None = None,
-    *,
-    maxval: int = 255,
-    binary: bool = True,
+    img: Micrograph, path: str | Path, format: str | None = None, *, maxval: int = 255
 ) -> None:
-    """Write an image as PGM or CSV.
+    """Write an image as binary PGM (P5) or CSV, streaming it to the file.
 
     PGM quantizes by rounding to the nearest integer; values must already lie
-    in [0, maxval] (the caller scales). Samples are 16-bit big-endian when
-    maxval > 255. CSV writes exact decimal floats.
+    in [0, maxval] (the caller scales), and maxval is an integer. The pixels
+    are rounded straight into 1-byte samples, or 2-byte big-endian ones when
+    maxval > 255, with no float frame between. CSV writes exact decimal
+    floats one row at a time.
     """
+    px = img.pixels
     if _resolve_format(path, format) == "csv":
-        atomic_write_bytes(path, _encode_csv(img))
+        # repr() round-trips float64 exactly
+        atomic_write_bytes(path, ((",".join(map(repr, row.tolist())) + "\n").encode("ascii")
+                                  for row in px))
         return
+    if isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer)):
+        raise ValueError(f"maxval must be an integer, got {maxval!r}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval must be in 1..65535, got {maxval}")
-    rounded = np.rint(img.pixels)
-    low, high = int(rounded.min()), int(rounded.max())
+    # rint is monotone, so these are the least and greatest rounded pixels
+    low, high = int(np.rint(px.min())), int(np.rint(px.max()))
     if low < 0 or high > maxval:
         raise ValueError(f"pixel values round to {low}..{high}, "
                          f"outside the declared range 0..{maxval}")
-    samples = rounded.astype(_sample_dtype(maxval))
-    del rounded  # free the float frame before the encoder copies the samples
-    atomic_write_bytes(path, _encode_pgm(samples, maxval, binary))
+    samples = np.empty(px.shape, _sample_dtype(maxval))
+    np.rint(px, out=samples, casting="unsafe")  # exact: whole numbers in 0..maxval
+    atomic_write_bytes(path, _pgm_chunks(samples, maxval))
 
 
 def write_binary_image(img: BinaryImage, path: str | Path) -> None:
     """Write a thresholded picture as PGM with maxval 1: 0 = white, 1 = black."""
-    atomic_write_bytes(path, _encode_pgm(img.bits.view(np.uint8), 1, True))
+    atomic_write_bytes(path, _pgm_chunks(img.bits.view(np.uint8), 1))
 
 
 def read_binary_image(path: str | Path) -> BinaryImage:

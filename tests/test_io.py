@@ -1,5 +1,7 @@
 """PGM and CSV readers/writers: format handling, round-trips, error paths."""
 
+import os
+import stat
 import time
 import tracemalloc
 
@@ -10,6 +12,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from percopick import ImageParseError, Micrograph, downsample2x, read_image, write_image
+from percopick.io import atomic_write_bytes
+
+
+def write_pgm(path, samples, maxval, binary=True):
+    """A PGM file of integer samples: P5 through write_image, or P2 text
+    written here, since write_image writes only P5."""
+    if binary:
+        write_image(Micrograph(np.asarray(samples, np.float64)), path, maxval=maxval)
+        return
+    rows = "\n".join(" ".join(map(str, row)) for row in np.asarray(samples, np.int64).tolist())
+    height, width = np.shape(samples)
+    path.write_text(f"P2\n{width} {height}\n{maxval}\n{rows}\n")
 
 
 def test_p2_ascii_basic(tmp_path):
@@ -63,7 +77,10 @@ def test_pgm_round_trip_after_quantization(tmp_path, binary, maxval):
     rng = np.random.default_rng(19)
     img = Micrograph(rng.random((6, 9)) * maxval)
     path = tmp_path / "x.pgm"
-    write_image(img, path, maxval=maxval, binary=binary)
+    if binary:
+        write_image(img, path, maxval=maxval)
+    else:
+        write_pgm(path, np.rint(img.pixels), maxval, binary=False)
     back = read_image(path)
     assert np.array_equal(back.pixels, np.rint(img.pixels))
 
@@ -73,6 +90,61 @@ def test_pgm_write_rejects_out_of_range(tmp_path):
         write_image(Micrograph([[-3.0, 5.0]]), tmp_path / "x.pgm", maxval=255)
     with pytest.raises(ValueError):
         write_image(Micrograph([[0.0, 300.0]]), tmp_path / "x.pgm", maxval=255)
+
+
+@pytest.mark.parametrize("maxval", [255.5, 1.0, True, "255"])
+def test_pgm_write_rejects_non_integer_maxval(tmp_path, maxval):
+    with pytest.raises(ValueError, match=r"^maxval must be an integer, got "):
+        write_image(Micrograph([[0.0, 1.0]]), tmp_path / "x.pgm", maxval=maxval)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("maxval", [np.uint8(255), np.int64(1000)])
+def test_pgm_write_accepts_numpy_integer_maxval(tmp_path, maxval):
+    img = Micrograph([[0.0, 7.0]])
+    write_image(img, tmp_path / "np.pgm", maxval=maxval)
+    write_image(img, tmp_path / "int.pgm", maxval=int(maxval))
+    assert (tmp_path / "np.pgm").read_bytes() == (tmp_path / "int.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_get_the_mode_open_would_give(tmp_path, umask):
+    from percopick import BinaryImage, write_binary_image
+
+    old = os.umask(umask)
+    try:
+        write_image(Micrograph([[0.0, 1.0]]), tmp_path / "x.pgm")
+        write_image(Micrograph([[0.0, 1.0]]), tmp_path / "x.csv")
+        write_binary_image(BinaryImage([[True, False]]), tmp_path / "bin.pgm")
+        atomic_write_bytes(tmp_path / "report.json", [b"{}\n"])
+        (tmp_path / "plain").touch()
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["x.pgm", "x.csv", "bin.pgm", "report.json", "plain"],
+                                  0o666 & ~umask)
+
+
+def test_atomic_write_failing_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"new"
+        raise RuntimeError("encoder failed")
+
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        atomic_write_bytes(path, chunks())
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left
+    assert path.read_bytes() == b"old"
+
+
+def test_atomic_write_streams_chunks(tmp_path):
+    path = tmp_path / "x.bin"
+    atomic_write_bytes(path, (bytes([i]) * i for i in range(4)))
+    assert path.read_bytes() == b"\x01\x02\x02\x03\x03\x03"
+    atomic_write_bytes(path, [])
+    assert path.read_bytes() == b""
 
 
 def test_truncated_p5_payload_is_parse_error(tmp_path):
@@ -207,7 +279,7 @@ SHAPES = array_shapes(min_dims=2, max_dims=2, max_side=16)
 def test_pgm_write_read_round_trip_property(tmp_path, maxval, binary, data):
     pixels = data.draw(arrays(np.float64, SHAPES, elements=st.integers(0, maxval)))
     path = tmp_path / "x.pgm"
-    write_image(Micrograph(pixels), path, maxval=maxval, binary=binary)
+    write_pgm(path, pixels, maxval, binary)
     assert np.array_equal(read_image(path).pixels, pixels)
 
 
@@ -227,6 +299,68 @@ def test_binary_image_round_trip_property(tmp_path, bits):
     path = tmp_path / "bin.pgm"
     write_binary_image(BinaryImage(bits), path)
     assert np.array_equal(read_binary_image(path).bits, bits)
+
+
+def reference_pgm(pixels, maxval):
+    """write_image's P5 bytes, encoded as one whole-file bytes object: round
+    to a float frame, check the range, cast, then header + payload."""
+    rounded = np.rint(pixels)
+    low, high = int(rounded.min()), int(rounded.max())
+    if low < 0 or high > maxval:
+        raise ValueError(f"pixel values round to {low}..{high}, "
+                         f"outside the declared range 0..{maxval}")
+    samples = rounded.astype(">u2" if maxval > 255 else np.uint8)
+    height, width = samples.shape
+    return f"P5\n{width} {height}\n{maxval}\n".encode("ascii") + samples.tobytes()
+
+
+def reference_csv(pixels):
+    """write_image's CSV bytes, joined into one string."""
+    lines = (",".join(repr(v) for v in row) for row in pixels.tolist())
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _bytes_or_message(call):
+    """The bytes call() returns, or the message of its ValueError."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+SIDES_1_30 = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(maxval=st.sampled_from([1, 255, 256, 1000, 65535]), shape=SIDES_1_30,
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pgm_bytes_match_whole_file_encoder(tmp_path, maxval, shape, seed, data):
+    # a seeded frame that rounds into 0..maxval, with drawn pixels set to ties
+    # k + 0.5, to -0.0, or to the ties at and just beyond either end of the range
+    pixels = np.random.default_rng(seed).uniform(-0.5, maxval + 0.5, shape)
+    edge = st.one_of(st.integers(0, maxval - 1).map(lambda k: k + 0.5),
+                     st.sampled_from([-0.0, -0.5, -1.5, maxval + 0.5, maxval + 1.5]))
+    for index, value in data.draw(st.lists(st.tuples(st.integers(0, pixels.size - 1), edge),
+                                           max_size=8)):
+        pixels.flat[index] = value
+    path = tmp_path / "x.pgm"
+
+    def written():
+        write_image(Micrograph(pixels), path, maxval=maxval)
+        return path.read_bytes()
+
+    assert _bytes_or_message(written) == _bytes_or_message(lambda: reference_pgm(pixels, maxval))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pixels=arrays(np.float64, SIDES_1_30,
+                     elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_bytes_match_joined_encoder(tmp_path, pixels):
+    path = tmp_path / "x.csv"
+    write_image(Micrograph(pixels), path)
+    assert path.read_bytes() == reference_csv(pixels)
 
 
 def _outcome(read):
@@ -258,7 +392,7 @@ def test_downsampling_read_matches_read_then_downsample(tmp_path, binary, maxval
     samples = (np.full((height, width), maxval) if full
                else np.random.default_rng(seed).integers(0, maxval + 1, (height, width)))
     path = tmp_path / "x.pgm"
-    write_image(Micrograph(samples.astype(np.float64)), path, maxval=maxval, binary=binary)
+    write_pgm(path, samples, maxval, binary)
     assert (_outcome(lambda: read_image(path, downsample_passes=passes))
             == _outcome(lambda: _read_then_downsample(path, passes)))
 
@@ -433,9 +567,16 @@ def test_write_image_peak_memory(tmp_path, maxval):
     n = PEAK_SIDE
     img = Micrograph(np.random.default_rng(4).random((n, n)) * maxval)
     path = tmp_path / "x.pgm"
-    # the rounded float frame (8 bytes per pixel) and the samples, not an int64 frame
-    assert traced_peak(lambda: write_image(img, path, maxval=maxval)) <= 12 * n * n
+    # the samples (at most 2 bytes per pixel) only: no float frame, no copy of the payload
+    assert traced_peak(lambda: write_image(img, path, maxval=maxval)) <= 2.5 * n * n
     assert np.array_equal(read_image(path).pixels, np.rint(img.pixels))
+
+
+def test_write_csv_peak_memory(tmp_path):
+    n = PEAK_SIDE
+    img = Micrograph(np.random.default_rng(7).standard_normal((n, n)))
+    # one encoded row at a time, not the whole file as one string
+    assert traced_peak(lambda: write_image(img, tmp_path / "x.csv")) <= 2 * 2**20
 
 
 def test_downsampling_read_of_16bit_p5_peak_memory(tmp_path):
