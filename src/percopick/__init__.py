@@ -28,7 +28,6 @@ from .image import (
     WindowStats,
     build_integral,
     downsample2x,
-    downsample_samples,
     normalize_max1,
 )
 from .io import (

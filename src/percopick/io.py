@@ -1,26 +1,36 @@
 """Image file I/O: PGM (read P2 ASCII and P5 binary, write P5) and CSV float grids.
 
-PGM payloads are raw integer samples in [0, maxval]. Both PGM readers parse
-them with _read_pgm and both writers emit them with _pgm_chunks; samples
-become float64 pixels once (read_image, no rescaling) and float pixels are
-rounded straight into samples (write_image). read_image can apply downsample
-passes while it reads; on PGM samples they are exact integer block sums, so
-only the reduced image is ever float64. CSV stores decimal floats and
-round-trips exactly. Writers are atomic (temp file + rename) and stream the
-file as it is encoded: a header and the samples, or one CSV row at a time.
+PGM payloads are raw integer samples in [0, maxval]. Both PGM readers open
+the file through _pgm_rows: the header is parsed from a first read, which
+grows while a token or comment reaches its end, and a P5 payload's length is
+checked against the file's size before any of it is read. The payload is then
+read in row strips into one reused buffer and range-checked strip by strip;
+P2 text is parsed whole. read_image block-sums the strips as integers as they
+arrive (image.downsample_rows), so the file's bytes are never held whole and
+only the reduced image is ever float64; read_binary_image reads the samples
+into one array. A pipe or other file that cannot tell its size is read into
+memory first and then goes through the same code. CSV stores decimal floats
+and round-trips exactly. Both writers emit samples with _pgm_chunks, and
+write_image rounds float pixels straight into them. Writers are atomic (temp
+file + rename over the file the path resolves to) and stream the file as it
+is encoded: a header and the samples, or one CSV row at a time.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import secrets
-from collections.abc import Iterable
+import stat
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .image import Micrograph, _adopt, downsample2x, downsample_samples
+from .image import Micrograph, _adopt, downsample2x, downsample_rows
 from .percolation import BinaryImage, _adopt_bits
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
@@ -102,57 +112,137 @@ def _sample_dtype(maxval: int) -> np.dtype:
     return np.dtype(">u2" if maxval > 255 else np.uint8)
 
 
-def _read_pgm(data: bytes) -> np.ndarray:
-    """The integer samples of a P2 or P5 file as a height x width array; for
-    P5 a read-only view of data."""
-    sc = _PgmScanner(data)
+_HEADER_BYTES = 4096  # the first read of a PGM file, enough for any usual header
+
+
+def _parse_header(sc: _PgmScanner) -> tuple[bytes, int, int, int]:
+    """(magic, width, height, maxval) of a PGM header; sc.pos ends at maxval."""
     magic, start = sc.next_token("magic number")
     if magic not in (b"P2", b"P5"):
         raise sc.error(f"unsupported magic {magic[:8]!r}, expected P2 or P5", start)
     width = sc.next_int("width", 1, 10**9)
     height = sc.next_int("height", 1, 10**9)
     maxval = sc.next_int("maxval", 1, 65535)
-    count = width * height
-
-    if magic == b"P2":
-        body = _blank_comments(data[sc.pos :])
-        tokens = body.split()  # the tokens _PgmScanner reads
-        if len(tokens) < count:
-            raise ImageParseError(
-                f"expected {count} pixel values, found {len(tokens)}",
-                offset=len(data),
-                line=data.count(b"\n", 0, len(data) - 1) + 1,  # line of the last byte
-            )
-        try:
-            values = np.array(tokens, dtype=np.int64)
-            if len(tokens) == count and values.min() >= 0 and values.max() <= maxval:
-                return values.reshape(height, width)
-        except (ValueError, OverflowError):  # a token that is no int64
-            pass
-        index, message = _first_rejected(tokens, count, maxval)
-        raise sc.error(message, sc.pos + _token_start(body, index))
-
     # P5: exactly one separator byte between maxval and the payload
-    if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WHITESPACE:
+    separator = sc.data[sc.pos : sc.pos + 1]
+    if magic == b"P5" and (not separator or separator not in _WHITESPACE):
         raise sc.error("missing whitespace after maxval in P5 header", sc.pos)
-    start = sc.pos + 1
+    return magic, width, height, maxval
+
+
+def _read_header(fh: BinaryIO) -> tuple[_PgmScanner, tuple[bytes, int, int, int]]:
+    """The scanner over the bytes read from the start of fh, and the header it
+    parsed. A parse that stops at the end of those bytes, where one more byte
+    could lengthen the last token or comment, runs again on twice the bytes."""
+    sc = _PgmScanner(fh.read(_HEADER_BYTES))
+    while True:
+        sc.pos = 0
+        try:
+            header = _parse_header(sc)
+        except ImageParseError:
+            if not _read_more(sc, fh):
+                raise
+        else:
+            if not _read_more(sc, fh):
+                return sc, header
+
+
+def _read_more(sc: _PgmScanner, fh: BinaryIO) -> bool:
+    """Whether the parse reached the end of sc.data and fh had more bytes,
+    which are now appended to it."""
+    if sc.pos < len(sc.data):
+        return False
+    more = fh.read(len(sc.data))
+    sc.data += more
+    return bool(more)
+
+
+def _p2_samples(sc: _PgmScanner, width: int, height: int, maxval: int) -> np.ndarray:
+    """The int64 samples of a P2 file whose bytes are sc.data, after a header
+    that ends at sc.pos."""
+    data, count = sc.data, width * height
+    body = _blank_comments(data[sc.pos :])
+    tokens = body.split()  # the tokens _PgmScanner reads
+    if len(tokens) < count:
+        raise ImageParseError(
+            f"expected {count} pixel values, found {len(tokens)}",
+            offset=len(data),
+            line=data.count(b"\n", 0, len(data) - 1) + 1,  # line of the last byte
+        )
+    try:
+        values = np.array(tokens, dtype=np.int64)
+        if len(tokens) == count and values.min() >= 0 and values.max() <= maxval:
+            return values.reshape(height, width)
+    except (ValueError, OverflowError):  # a token that is no int64
+        pass
+    index, message = _first_rejected(tokens, count, maxval)
+    raise sc.error(message, sc.pos + _token_start(body, index))
+
+
+def _p5_rows(fh: BinaryIO, start: int, width: int, maxval: int) -> Callable[[int, int], np.ndarray]:
+    """read(r, n): the next n rows of the P5 payload that starts at byte
+    `start` of fh, r being the index of the first, as native integers in a
+    buffer that each call reuses. A sample above maxval is reported at its
+    offset before the rows are returned."""
     dtype = _sample_dtype(maxval)
-    needed, found = count * dtype.itemsize, len(data) - start
-    if found < needed:
-        raise ImageParseError(
-            f"truncated P5 payload: expected {needed} bytes, found {found}", offset=len(data)
-        )
-    if found > needed:
-        raise ImageParseError("trailing bytes after P5 payload", offset=start + needed)
-    values = np.frombuffer(data, dtype, count, start)
-    # at the largest maxval of the sample width no sample can exceed it
-    if maxval != np.iinfo(dtype).max and values.max(initial=0) > maxval:
-        bad = int(np.argmax(values > maxval))
-        raise ImageParseError(
-            f"pixel value {int(values[bad])} exceeds maxval {maxval}",
-            offset=start + bad * dtype.itemsize,
-        )
-    return values.reshape(height, width)
+    check = maxval != np.iinfo(dtype).max  # else no sample can exceed it
+    raw = native = np.empty(0, dtype)
+
+    def read(r: int, n: int) -> np.ndarray:
+        nonlocal raw, native
+        if raw.size < n * width:
+            raw = np.empty(n * width, dtype)
+            # copying swaps the bytes of 2-byte samples faster than byteswap in place
+            native = raw if dtype.isnative else np.empty(n * width, dtype.newbyteorder("="))
+        got = fh.readinto(raw[: n * width])
+        if got < n * width * dtype.itemsize:  # the file shrank after its size was taken
+            raise ImageParseError("truncated P5 payload: the file shrank while it was read",
+                                  offset=start + r * width * dtype.itemsize + got)
+        rows = native[: n * width]
+        if not dtype.isnative:
+            np.copyto(rows, raw[: n * width])
+        if check and rows.max() > maxval:
+            bad = int(np.argmax(rows > maxval))
+            raise ImageParseError(f"pixel value {int(rows[bad])} exceeds maxval {maxval}",
+                                  offset=start + (r * width + bad) * dtype.itemsize)
+        return rows.reshape(n, width)
+
+    return read
+
+
+@contextmanager
+def _pgm_rows(path: str | Path) -> Iterator[tuple[Callable[[int, int], np.ndarray],
+                                                  tuple[int, int], np.dtype]]:
+    """(read, (height, width), dtype) of the integer samples of a P2 or P5
+    file: read(r, n) returns rows r..r+n-1, called with the rows in order.
+    The header is parsed and a P5 payload's length checked on entry; a P5
+    payload is then read strip by strip, so its bytes are never held whole.
+    A file that is not a regular one, such as a pipe, is read whole first,
+    since only a regular file tells its size up front."""
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            src, size = fh, info.st_size
+        else:
+            data = fh.read()
+            src, size = io.BytesIO(data), len(data)
+        sc, (magic, width, height, maxval) = _read_header(src)
+        if magic == b"P2":
+            sc.data += src.read()
+            samples = _p2_samples(sc, width, height, maxval)
+            yield (lambda r, n: samples[r : r + n]), samples.shape, samples.dtype
+            return
+        start = sc.pos + 1
+        dtype = _sample_dtype(maxval)
+        needed, found = width * height * dtype.itemsize, size - start
+        if found < needed:
+            raise ImageParseError(
+                f"truncated P5 payload: expected {needed} bytes, found {found}", offset=size
+            )
+        if found > needed:
+            raise ImageParseError("trailing bytes after P5 payload", offset=start + needed)
+        src.seek(start)
+        yield _p5_rows(src, start, width, maxval), (height, width), dtype.newbyteorder("=")
 
 
 def _read_csv(data: bytes) -> Micrograph:
@@ -213,16 +303,17 @@ def read_image(
     """Read a PGM or CSV image; format inferred from the suffix when omitted.
 
     The result is the image after `downsample_passes` downsample2x passes,
-    bit for bit. PGM samples are block-summed as integers and become float64
-    only at the reduced size (downsample_samples).
+    bit for bit. A P5 payload is read in row strips, each range-checked and
+    block-summed as integers as it arrives (downsample_rows); P2 samples are
+    parsed whole and summed the same way. Either way only the reduced image
+    is ever float64. A CSV is read whole and downsampled as floats.
     """
     if downsample_passes < 0:
         raise ValueError(f"downsample passes must be >= 0, got {downsample_passes}")
-    fmt = _resolve_format(path, format)
-    data = Path(path).read_bytes()
-    if fmt == "pgm":
-        return downsample_samples(_read_pgm(data), downsample_passes)
-    img = _read_csv(data)
+    if _resolve_format(path, format) == "pgm":
+        with _pgm_rows(path) as (read, shape, dtype):
+            return downsample_rows(read, shape, dtype, downsample_passes)
+    img = _read_csv(Path(path).read_bytes())
     for _ in range(downsample_passes):
         img = downsample2x(img)
     return img
@@ -230,14 +321,22 @@ def read_image(
 
 def atomic_write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write bytes-like chunks to a file atomically: a new temp file in the
-    same directory, then rename. The file gets the mode open() would give it
-    (0o666 less the umask); on any error the temp file is removed."""
-    path = Path(path)
+    directory of the file the path resolves to, then rename over that file, so
+    a symlink is written through as open() would. An existing file keeps its
+    permission bits; a new one gets 0o666 less the umask, as open() would give
+    it. On any error the temp file is removed."""
+    path = Path(os.path.realpath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     # O_EXCL refuses an existing file; a clash of 64 random bits is not retried
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -293,7 +392,8 @@ def write_binary_image(img: BinaryImage, path: str | Path) -> None:
 
 def read_binary_image(path: str | Path) -> BinaryImage:
     """Read a maxval-1 PGM written by write_binary_image; 1 = black."""
-    samples = _read_pgm(Path(path).read_bytes())
+    with _pgm_rows(path) as (read, (height, _), _):
+        samples = read(0, height)
     if samples.max(initial=0) > 1:
         values = np.unique(samples)[:5].astype(np.float64)
         raise ImageParseError(f"expected only 0/1 samples, found values {values}")

@@ -7,10 +7,9 @@ from percopick import (
     Micrograph,
     build_integral,
     downsample2x,
-    downsample_samples,
     normalize_max1,
 )
-from percopick.image import window_sums
+from percopick.image import downsample_samples, window_sums
 
 
 def brute_partial_sum(pixels, r, c):

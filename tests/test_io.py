@@ -2,6 +2,7 @@
 
 import os
 import stat
+import threading
 import time
 import tracemalloc
 
@@ -11,6 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import percopick.image as image_module
+import percopick.io as io_module
 from percopick import ImageParseError, Micrograph, downsample2x, read_image, write_image
 from percopick.io import atomic_write_bytes
 
@@ -145,6 +148,69 @@ def test_atomic_write_streams_chunks(tmp_path):
     assert path.read_bytes() == b"\x01\x02\x02\x03\x03\x03"
     atomic_write_bytes(path, [])
     assert path.read_bytes() == b""
+
+
+def test_atomic_write_goes_through_a_symlink(tmp_path):
+    real_dir = tmp_path / "real"
+    real_dir.mkdir()
+    real = real_dir / "real.json"
+    real.write_bytes(b"old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    atomic_write_bytes(link, [b"new\n"])
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real"]
+    assert [p.name for p in real_dir.iterdir()] == ["real.json"]
+
+
+def test_atomic_write_through_a_dangling_symlink_creates_its_target(tmp_path):
+    old = os.umask(0o027)
+    try:
+        (tmp_path / "out").mkdir()
+        link = tmp_path / "link.json"
+        link.symlink_to("out/new.json")  # relative, as ln -s makes it
+        atomic_write_bytes(link, [b"x"])
+    finally:
+        os.umask(old)
+    target = tmp_path / "out" / "new.json"
+    assert link.is_symlink() and target.read_bytes() == b"x"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640  # 0o666 less the umask, as open() gives
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755], ids=oct)
+def test_atomic_write_keeps_the_mode_of_an_existing_file(tmp_path, mode):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"old")
+    path.chmod(mode)
+    old = os.umask(0o022)
+    try:
+        atomic_write_bytes(path, [b"new"])
+        write_image(Micrograph([[0.0, 1.0]]), tmp_path / "x.pgm")  # new: the umask's mode
+    finally:
+        os.umask(old)
+    assert path.read_bytes() == b"new"
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "x.pgm").stat().st_mode) == 0o644
+    write_image(Micrograph([[0.0, 1.0]]), path, format="pgm")  # a writer keeps it as well
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_atomic_write_failing_through_a_symlink_keeps_the_target(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_bytes(b"old")
+    real.chmod(0o600)
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+
+    def chunks():
+        yield b"new"
+        raise RuntimeError("encoder failed")
+
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        atomic_write_bytes(link, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+    assert real.read_bytes() == b"old" and stat.S_IMODE(real.stat().st_mode) == 0o600
 
 
 def test_truncated_p5_payload_is_parse_error(tmp_path):
@@ -600,3 +666,233 @@ def test_read_16bit_p5_peak_memory(tmp_path):
     # the file's bytes and the float64 pixels, with no copy of the payload
     assert traced_peak(lambda: back.append(read_image(path))) <= 12 * n * n
     assert np.array_equal(back[0].pixels, samples)
+
+
+def test_downsampling_read_of_16bit_p5_streams_in_strips(tmp_path):
+    n = PEAK_SIDE
+    samples = np.random.default_rng(9).integers(0, 65536, (n, n)).astype(">u2")
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n%d %d\n65535\n" % (n, n) + samples.tobytes())
+    back = []
+    # one strip of the file's bytes and the reduced sums: never the whole payload
+    assert traced_peak(lambda: back.append(read_image(path, downsample_passes=2))) <= 2 * n * n
+    assert back[0].pixels.tobytes() == downsampled(samples, 2).pixels.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# P5 payloads are read in row strips: every strip boundary, check and error
+# ---------------------------------------------------------------------------
+
+
+def p5_bytes(samples, maxval):
+    """A P5 file of integer samples, encoded here in one piece."""
+    height, width = np.shape(samples)
+    dtype = ">u2" if maxval > 255 else np.uint8
+    header = b"P5\n%d %d\n%d\n" % (width, height, maxval)
+    return header + np.asarray(samples).astype(dtype).tobytes()
+
+
+def downsampled(samples, passes):
+    """The samples as float64 pixels after `passes` downsample2x calls."""
+    img = Micrograph(np.asarray(samples, np.float64))
+    for _ in range(passes):
+        img = downsample2x(img)
+    return img
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(strip=st.sampled_from([1, 2, 4, 8]), passes=st.integers(0, 3),
+       height_at=st.sampled_from(["strip-1", "strip", "strip+1", "several"]),
+       width=st.integers(1, 9), binary=st.booleans(),
+       maxval=st.sampled_from([1, 255, 1000, 65535]), full=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_strip_read_matches_whole_frame_downsample(tmp_path, monkeypatch, strip, passes,
+                                                   height_at, width, binary, maxval, full,
+                                                   seed, data):
+    monkeypatch.setattr(image_module, "_STRIP_ROWS", strip)
+    step = -(-strip // 2**passes) * 2**passes  # the rows a strip holds
+    height = {"strip-1": step - 1, "strip": step, "strip+1": step + 1,
+              "several": data.draw(st.integers(2 * step, 4 * step + 1), label="height")}[height_at]
+    if height < 1:
+        return
+    samples = (np.full((height, width), maxval) if full
+               else np.random.default_rng(seed).integers(0, maxval + 1, (height, width)))
+    path = tmp_path / "x.pgm"
+    write_pgm(path, samples, maxval, binary)
+    assert (_outcome(lambda: read_image(path, downsample_passes=passes))
+            == _outcome(lambda: downsampled(samples, passes)))
+
+
+@pytest.mark.parametrize("passes", [0, 1, 2])
+@pytest.mark.parametrize("maxval", [200, 1000])
+@pytest.mark.parametrize("row, col", [(9, 2), (10, 1), (3, 4), (10, 4)],
+                         ids=["later-strip", "dropped-row", "dropped-column", "dropped-corner"])
+def test_p5_bad_sample_in_any_strip_is_located(tmp_path, monkeypatch, passes, maxval, row, col):
+    monkeypatch.setattr(image_module, "_STRIP_ROWS", 4)
+    samples = np.random.default_rng(row * 10 + col).integers(0, maxval + 1, (11, 5))
+    samples[row, col] = maxval + 7
+    samples[10, 4] = maxval + 9  # a later bad sample, in row-major order, is not the one reported
+    path = tmp_path / "bad.pgm"
+    data = p5_bytes(samples, maxval)
+    path.write_bytes(data)
+    offset = len(b"P5\n5 11\n%d\n" % maxval) + (row * 5 + col) * (2 if maxval > 255 else 1)
+    with pytest.raises(ImageParseError) as err:
+        read_image(path, downsample_passes=passes)
+    value = samples[row, col]
+    assert str(err.value) == f"pixel value {value} exceeds maxval {maxval} (byte {offset})"
+    assert err.value.offset == offset
+
+
+def test_error_precedence_is_kept_across_strips(tmp_path, monkeypatch):
+    monkeypatch.setattr(image_module, "_STRIP_ROWS", 2)
+    path = tmp_path / "bad.pgm"
+    too_small = np.array([[0, 1, 250], [3, 4, 5], [6, 7, 8]])  # 3x3 fails a second pass
+    # truncated before too small to downsample
+    path.write_bytes(p5_bytes(too_small, 200)[:-1])
+    with pytest.raises(ImageParseError, match=r"^truncated P5 payload: expected 9 bytes, found 8 "):
+        read_image(path, downsample_passes=2)
+    # trailing bytes before a sample above maxval
+    path.write_bytes(p5_bytes(too_small, 200) + b"\0")
+    with pytest.raises(ImageParseError, match=r"^trailing bytes after P5 payload "):
+        read_image(path, downsample_passes=2)
+    # a sample above maxval, in the last strip, before too small to downsample
+    too_small[2, 2] = 201
+    path.write_bytes(p5_bytes(too_small, 200))
+    with pytest.raises(ImageParseError) as err:
+        read_image(path, downsample_passes=2)
+    assert str(err.value) == "pixel value 250 exceeds maxval 200 (byte 13)"
+    too_small[0, 2] = 9
+    path.write_bytes(p5_bytes(too_small, 200))
+    with pytest.raises(ImageParseError, match=r"^pixel value 201 exceeds maxval 200 \(byte 19\)$"):
+        read_image(path, downsample_passes=2)
+    too_small[2, 2] = 8
+    path.write_bytes(p5_bytes(too_small, 200))
+    with pytest.raises(ValueError, match=r"^need at least a 2x2 image to downsample, got 1x1$"):
+        read_image(path, downsample_passes=2)
+
+
+def test_truncated_file_too_small_to_downsample_reports_the_truncation(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n3 1\n65535\n" + bytes(4))
+    with pytest.raises(ImageParseError) as err:
+        read_image(path, downsample_passes=1)
+    assert str(err.value) == "truncated P5 payload: expected 6 bytes, found 4 (byte 17)"
+
+
+def test_p5_file_shrinking_while_read_is_a_parse_error(tmp_path, monkeypatch):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(p5_bytes(np.arange(40).reshape(10, 4), 255)[:-2])  # 50 bytes
+    real_fstat = os.fstat
+
+    def fstat_two_bytes_longer(fd):  # the size taken before the payload is read
+        fields = list(real_fstat(fd))
+        fields[stat.ST_SIZE] += 2
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(io_module.os, "fstat", fstat_two_bytes_longer)
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    assert str(err.value) == "truncated P5 payload: the file shrank while it was read (byte 50)"
+
+
+HEADER_CUTS = [
+    b"P5\n# c\n3 2\n65535\n" + np.array([0, 655, 656, 6553, 6554, 65535], ">u2").tobytes(),
+    b"P5 2 1 65535\n" + np.array([700, 65535], ">u2").tobytes(),  # 655 is no maxval here
+    b"P5 2 1 255 " + bytes([1, 2]),
+    b"P5 2 1 255",
+    b"P5 2 1 255#c\n" + bytes([1, 2]),
+    b"P5 2 1 655350\n" + bytes(4),
+    b"P5 2 x1 255\n" + bytes(2),
+    b"P5 2 1 \n#" + b"c" * 40 + b"\n# more\n255\n" + bytes([3, 4]),
+    b"P5 2 1 2#" + b"c" * 40,
+    b"P2\n2 2\n1000 1 2\n3 1000\n",
+    b"P2 2 2 100 1 2 3",
+    b"P6 1 1 255\n\0\0\0",
+    b"P5P5 1 1 255\n\0",
+    b"# only a comment",
+    b"",
+]
+
+
+@pytest.mark.parametrize("data", HEADER_CUTS, ids=range(len(HEADER_CUTS)))
+def test_header_parse_does_not_depend_on_where_the_first_read_ends(tmp_path, monkeypatch, data):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(data)
+    want = _outcome(lambda: read_image(path))
+    for size in range(1, len(data) + 2):  # every first read, ending within every token
+        monkeypatch.setattr(io_module, "_HEADER_BYTES", size)
+        assert _outcome(lambda: read_image(path)) == want, f"first read of {size} bytes"
+
+
+def test_maxval_ending_at_the_first_read_is_not_cut_short(tmp_path, monkeypatch):
+    data = HEADER_CUTS[1]
+    path = tmp_path / "x.pgm"
+    path.write_bytes(data)
+    for end in (data.index(b"65535") + 3, data.index(b"65535") + 5):  # "655" or all of it
+        monkeypatch.setattr(io_module, "_HEADER_BYTES", end)
+        assert read_image(path).pixels.tolist() == [[700, 65535]]
+
+
+def test_header_comment_longer_than_the_first_read(tmp_path):
+    comment = b"#" + b"c" * (3 * io_module._HEADER_BYTES) + b"\n"
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n" + comment + b"2 1\n65535\n" + np.array([9, 65535], ">u2").tobytes())
+    assert read_image(path).pixels.tolist() == [[9, 65535]]
+    path.write_bytes(b"P5\n" + comment + b"2 q\n")
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    assert str(err.value) == f"non-numeric token b'q' for height (line 3, byte {5 + len(comment)})"
+    path.write_bytes(b"P5\n2 1 " + comment)
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    assert str(err.value) == (f"unexpected end of file while reading maxval "
+                              f"(line 3, byte {7 + len(comment)})")
+
+
+def _read_from_fifo(tmp_path, data, read):
+    """read(path) of a named pipe that a writer thread feeds with data."""
+    fifo = tmp_path / "pipe.pgm"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return _outcome(lambda: read(fifo))
+    finally:
+        writer.join(timeout=30)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("passes", [0, 2])
+@pytest.mark.parametrize("case", ["p5", "p5-8bit", "p2", "truncated", "trailing", "bad-sample"])
+def test_read_image_from_a_fifo_matches_a_regular_file(tmp_path, monkeypatch, passes, case):
+    monkeypatch.setattr(image_module, "_STRIP_ROWS", 8)
+    samples = np.random.default_rng(17).integers(0, 1001, (37, 21))
+    data = {"p5": p5_bytes(samples, 65535), "p5-8bit": p5_bytes(samples % 256, 255),
+            "p2": b"P2 21 37 1000\n" + " ".join(map(str, samples.ravel())).encode(),
+            "truncated": p5_bytes(samples, 65535)[:-3],
+            "trailing": p5_bytes(samples, 65535) + b"\n",
+            "bad-sample": p5_bytes(samples, 1000)[:-2] + (1001).to_bytes(2, "big")}[case]
+    regular = tmp_path / "file.pgm"
+    regular.write_bytes(data)
+    want = _outcome(lambda: read_image(regular, downsample_passes=passes))
+    got = _read_from_fifo(tmp_path, data, lambda p: read_image(p, downsample_passes=passes))
+    assert got == want
+    if case.startswith("p"):
+        assert want == _outcome(lambda: downsampled(samples % 256 if case == "p5-8bit"
+                                                    else samples, passes))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_binary_image_from_a_fifo(tmp_path):
+    from percopick import read_binary_image
+
+    bits = np.random.default_rng(2).random((9, 13)) < 0.5
+    got = _read_from_fifo(tmp_path, p5_bytes(bits, 1),
+                          lambda p: Micrograph(read_binary_image(p).bits.astype(float)))
+    assert got == (bits.shape, bits.astype(float).tobytes())
