@@ -133,61 +133,45 @@ def downsample2x(img: Micrograph) -> Micrograph:
     return _adopt(out)
 
 
-def downsample_samples(samples: np.ndarray, passes: int) -> Micrograph:
-    """The image that `passes` downsample2x calls give on a 2D array of integer
-    samples in 0..65535, with no float64 frame at the source size."""
-    return downsample_rows(lambda r, n: samples[r : r + n], samples.shape, samples.dtype, passes)
-
-
 def downsample_rows(read: Callable[[int, int], np.ndarray], shape: tuple[int, int],
-                    dtype: np.dtype, passes: int) -> Micrograph:
+                    passes: int) -> Micrograph:
     """The image that `passes` downsample2x calls give on a height x width grid
-    of integer samples of dtype in 0..65535, read in row strips: read(r, n)
-    returns rows r..r+n-1, and is called for every row in order, a whole
-    number of 2**passes blocks of rows at a time. No strip is kept past the
-    next call, so read may return the same buffer each time.
+    of integer samples in 0..65535, read in row strips: read(r, n) returns
+    rows r..r+n-1, and is called for every row in order, a whole number of
+    2**passes blocks of rows at a time but the last. No strip is kept past
+    the next call.
 
-    Each pass sums 2x2 blocks of a strip in integers, dropping a trailing odd
-    row or column; the sums of every strip go into one array, which becomes
-    float64 once and is divided once by 4**passes. The result is bit-identical
-    to the float passes: a sum of at most 4**passes samples is an exact
-    float64, and so is its quotient by a power of two. An image too small for
-    the passes raises ValueError once every row has been read.
+    Each pass sums 2x2 blocks of a strip in integers wide enough for the
+    strip's dtype and the pass count, dropping a trailing odd row or column;
+    the sums of every strip go straight into the float64 result, which is
+    divided once by 4**passes. The result is bit-identical to the float
+    passes: a sum of at most 4**passes samples is an exact float64, and so is
+    its quotient by a power of two. An image too small for the passes raises
+    ValueError once every row has been read.
     """
     if passes < 0:
         raise ValueError(f"downsample passes must be >= 0, got {passes}")
-    height = shape[0]
-    try:
-        for _ in range(passes):
-            shape = _halved(*shape)
-        too_small = None
-    except ValueError as exc:
-        too_small = exc
-    if passes == 0:  # no sums: the samples go straight into the pixels
-        acc = np.float64
-    elif dtype.kind == "i":  # signed samples do not cast into unsigned sums
-        acc = np.int64
-    else:
-        acc = np.uint32 if 4**passes * 65535 < 2**32 else np.uint64
-    block = 2**passes
-    used = 0 if too_small else shape[0] * block  # source rows the passes read
-    out = np.empty(shape if used else (0, 0), acc)
+    height, width = shape
+    out = np.empty((height >> passes, width >> passes))
+    used = len(out) << passes  # source rows the passes read
+    block = 1 << min(passes, height.bit_length())  # no larger block fits in the rows
     step = -(-_STRIP_ROWS // block) * block  # whole blocks of rows per strip
     for r in range(0, height, step):
         a = read(r, min(step, height - r))
         if r >= used:  # rows that only the reader checks
             continue
         a = a[: used - r]
+        # signed samples do not cast into unsigned sums; 4**8 * 65535 < 2**32
+        acc = np.int64 if a.dtype.kind == "i" else np.uint32 if passes <= 8 else np.uint64
         for _ in range(passes):
             # contiguous row pairs first, so the strided column sum reads half the strip
             rows = np.add(a[0::2], a[1::2], dtype=acc)
             w2 = rows.shape[1] // 2
             a = rows[:, 0 : 2 * w2 : 2] + rows[:, 1 : 2 * w2 : 2]
         out[r // block : r // block + len(a)] = a
-    if too_small:
-        raise too_small
+    for _ in range(passes):  # too small by pass height.bit_length() at the latest
+        shape = _halved(*shape)
     if passes:
-        out = out.astype(np.float64)
         out /= 4**passes
     return _adopt(out)
 

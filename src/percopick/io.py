@@ -1,19 +1,19 @@
 """Image file I/O: PGM (read P2 ASCII and P5 binary, write P5) and CSV float grids.
 
-PGM payloads are raw integer samples in [0, maxval]. Both PGM readers open
-the file through _pgm_rows: the header is parsed from a first read, which
-grows while a token or comment reaches its end, and a P5 payload's length is
-checked against the file's size before any of it is read. The payload is then
-read in row strips into one reused buffer and range-checked strip by strip;
-P2 text is parsed whole. read_image block-sums the strips as integers as they
-arrive (image.downsample_rows), so the file's bytes are never held whole and
-only the reduced image is ever float64; read_binary_image reads the samples
-into one array. A pipe or other file that cannot tell its size is read into
-memory first and then goes through the same code. CSV stores decimal floats
-and round-trips exactly. Both writers emit samples with _pgm_chunks, and
-write_image rounds float pixels straight into them. Writers are atomic (temp
-file + rename over the file the path resolves to) and stream the file as it
-is encoded: a header and the samples, or one CSV row at a time.
+PGM payloads are raw integer samples in [0, maxval]. Both PGM readers open the
+file through _pgm_rows: the header is parsed from a first read, which grows
+while a token or comment reaches its end, and a P5 payload's length is checked
+against the file's size before any of it is read. The payload is then read in
+row strips, each a new array of native integers, and range-checked strip by
+strip; P2 text is parsed whole. read_image block-sums the strips as integers
+as they arrive (image.downsample_rows), so the file's bytes are never held
+whole and only the reduced image is ever float64; read_binary_image reads the
+samples into one array. A pipe or other file that cannot tell its size is read
+into memory first and then goes through the same code. CSV stores decimal
+floats and round-trips exactly. Both writers emit samples with _pgm_chunks,
+and write_image rounds float pixels straight into them. Writers are atomic
+(temp file + rename over the file the path resolves to) and stream the file as
+it is encoded: a header and the samples, or one CSV row at a time.
 """
 
 from __future__ import annotations
@@ -140,21 +140,12 @@ def _read_header(fh: BinaryIO) -> tuple[_PgmScanner, tuple[bytes, int, int, int]
         try:
             header = _parse_header(sc)
         except ImageParseError:
-            if not _read_more(sc, fh):
+            if sc.pos < len(sc.data) or not (more := fh.read(len(sc.data))):
                 raise
         else:
-            if not _read_more(sc, fh):
+            if sc.pos < len(sc.data) or not (more := fh.read(len(sc.data))):
                 return sc, header
-
-
-def _read_more(sc: _PgmScanner, fh: BinaryIO) -> bool:
-    """Whether the parse reached the end of sc.data and fh had more bytes,
-    which are now appended to it."""
-    if sc.pos < len(sc.data):
-        return False
-    more = fh.read(len(sc.data))
-    sc.data += more
-    return bool(more)
+        sc.data += more
 
 
 def _p2_samples(sc: _PgmScanner, width: int, height: int, maxval: int) -> np.ndarray:
@@ -181,40 +172,34 @@ def _p2_samples(sc: _PgmScanner, width: int, height: int, maxval: int) -> np.nda
 
 def _p5_rows(fh: BinaryIO, start: int, width: int, maxval: int) -> Callable[[int, int], np.ndarray]:
     """read(r, n): the next n rows of the P5 payload that starts at byte
-    `start` of fh, r being the index of the first, as native integers in a
-    buffer that each call reuses. A sample above maxval is reported at its
-    offset before the rows are returned."""
+    `start` of fh, r being the index of the first, as a new array of native
+    integers. A sample above maxval is reported at its offset before the rows
+    are returned."""
     dtype = _sample_dtype(maxval)
     check = maxval != np.iinfo(dtype).max  # else no sample can exceed it
-    raw = native = np.empty(0, dtype)
 
     def read(r: int, n: int) -> np.ndarray:
-        nonlocal raw, native
-        if raw.size < n * width:
-            raw = np.empty(n * width, dtype)
-            # copying swaps the bytes of 2-byte samples faster than byteswap in place
-            native = raw if dtype.isnative else np.empty(n * width, dtype.newbyteorder("="))
-        got = fh.readinto(raw[: n * width])
-        if got < n * width * dtype.itemsize:  # the file shrank after its size was taken
+        rows = np.empty((n, width), dtype)
+        got = fh.readinto(rows)
+        if got < rows.nbytes:  # the file shrank after its size was taken
             raise ImageParseError("truncated P5 payload: the file shrank while it was read",
                                   offset=start + r * width * dtype.itemsize + got)
-        rows = native[: n * width]
-        if not dtype.isnative:
-            np.copyto(rows, raw[: n * width])
+        # copying swaps the bytes of 2-byte samples faster than byteswap in place
+        rows = rows.astype(dtype.newbyteorder("="), copy=False)
         if check and rows.max() > maxval:
             bad = int(np.argmax(rows > maxval))
-            raise ImageParseError(f"pixel value {int(rows[bad])} exceeds maxval {maxval}",
+            raise ImageParseError(f"pixel value {int(rows.flat[bad])} exceeds maxval {maxval}",
                                   offset=start + (r * width + bad) * dtype.itemsize)
-        return rows.reshape(n, width)
+        return rows
 
     return read
 
 
 @contextmanager
 def _pgm_rows(path: str | Path) -> Iterator[tuple[Callable[[int, int], np.ndarray],
-                                                  tuple[int, int], np.dtype]]:
-    """(read, (height, width), dtype) of the integer samples of a P2 or P5
-    file: read(r, n) returns rows r..r+n-1, called with the rows in order.
+                                                  tuple[int, int]]]:
+    """(read, (height, width)) of a P2 or P5 file: read(r, n) returns rows
+    r..r+n-1 as an array of native integers, called with the rows in order.
     The header is parsed and a P5 payload's length checked on entry; a P5
     payload is then read strip by strip, so its bytes are never held whole.
     A file that is not a regular one, such as a pipe, is read whole first,
@@ -230,11 +215,10 @@ def _pgm_rows(path: str | Path) -> Iterator[tuple[Callable[[int, int], np.ndarra
         if magic == b"P2":
             sc.data += src.read()
             samples = _p2_samples(sc, width, height, maxval)
-            yield (lambda r, n: samples[r : r + n]), samples.shape, samples.dtype
+            yield (lambda r, n: samples[r : r + n]), samples.shape
             return
         start = sc.pos + 1
-        dtype = _sample_dtype(maxval)
-        needed, found = width * height * dtype.itemsize, size - start
+        needed, found = width * height * _sample_dtype(maxval).itemsize, size - start
         if found < needed:
             raise ImageParseError(
                 f"truncated P5 payload: expected {needed} bytes, found {found}", offset=size
@@ -242,7 +226,7 @@ def _pgm_rows(path: str | Path) -> Iterator[tuple[Callable[[int, int], np.ndarra
         if found > needed:
             raise ImageParseError("trailing bytes after P5 payload", offset=start + needed)
         src.seek(start)
-        yield _p5_rows(src, start, width, maxval), (height, width), dtype.newbyteorder("=")
+        yield _p5_rows(src, start, width, maxval), (height, width)
 
 
 def _read_csv(data: bytes) -> Micrograph:
@@ -311,8 +295,8 @@ def read_image(
     if downsample_passes < 0:
         raise ValueError(f"downsample passes must be >= 0, got {downsample_passes}")
     if _resolve_format(path, format) == "pgm":
-        with _pgm_rows(path) as (read, shape, dtype):
-            return downsample_rows(read, shape, dtype, downsample_passes)
+        with _pgm_rows(path) as (read, shape):
+            return downsample_rows(read, shape, downsample_passes)
     img = _read_csv(Path(path).read_bytes())
     for _ in range(downsample_passes):
         img = downsample2x(img)
@@ -392,7 +376,7 @@ def write_binary_image(img: BinaryImage, path: str | Path) -> None:
 
 def read_binary_image(path: str | Path) -> BinaryImage:
     """Read a maxval-1 PGM written by write_binary_image; 1 = black."""
-    with _pgm_rows(path) as (read, (height, _), _):
+    with _pgm_rows(path) as (read, (height, _)):
         samples = read(0, height)
     if samples.max(initial=0) > 1:
         values = np.unique(samples)[:5].astype(np.float64)

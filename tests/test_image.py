@@ -1,15 +1,21 @@
 """Core pixel-grid types, integral images, and window arithmetic."""
 
+from itertools import accumulate
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import percopick.image as image_module
 from percopick import (
     Micrograph,
     build_integral,
     downsample2x,
     normalize_max1,
 )
-from percopick.image import downsample_samples, window_sums
+from percopick.image import downsample_rows, window_sums
 
 
 def brute_partial_sum(pixels, r, c):
@@ -182,6 +188,18 @@ class TestDownsample:
             downsample2x(Micrograph([[1.0, 2.0]]))
 
 
+def downsample_samples(samples, passes, calls=None):
+    """downsample_rows over an array in memory, through a reader that appends
+    each (r, n) it is asked for to calls."""
+    calls = [] if calls is None else calls
+
+    def read(r, n):
+        calls.append((r, n))
+        return samples[r : r + n]
+
+    return downsample_rows(read, samples.shape, passes)
+
+
 class TestDownsampleSamples:
     @pytest.mark.parametrize("dtype", [np.uint8, ">u2", np.uint16, np.int64])
     @pytest.mark.parametrize("passes", [0, 1, 2, 3])
@@ -217,6 +235,23 @@ class TestDownsampleSamples:
         out = downsample_samples(samples, 0)
         assert out.pixels.base is None and not out.pixels.flags.writeable
         assert out.pixels.tolist() == samples.tolist()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(strip=st.sampled_from([1, 3, 8]), passes=st.integers(0, 3),
+           height=st.integers(1, 40), width=st.integers(1, 12))
+    def test_strips_cover_every_row_once_in_whole_blocks(self, strip, passes, height, width):
+        calls = []
+        too_small = height >> passes == 0 or width >> passes == 0
+        with mock.patch.object(image_module, "_STRIP_ROWS", strip):
+            try:
+                downsample_samples(np.zeros((height, width), np.uint8), passes, calls)
+                assert not too_small
+            except ValueError:
+                assert too_small  # raised only once every row was read, as below
+        starts, counts = [r for r, _ in calls], [n for _, n in calls]
+        assert starts == list(accumulate(counts[:-1], initial=0))  # from 0, in order, no gap
+        assert sum(counts) == height  # so every row exactly once
+        assert all(n % 2**passes == 0 for n in counts[:-1])
 
 
 class TestNormalize:

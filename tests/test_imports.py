@@ -7,7 +7,9 @@ error, and so is an imported name with a leading underscore, except the
 ownership helpers that let an image type take an array without a copy.
 `__init__.py` re-exports on purpose and is skipped by the first two checks;
 the third asks that each name it re-exports is read by some package module or
-by the benchmark, which patches layer functions by their names as strings.
+by the benchmark, which patches layer functions by their names as strings,
+and the fourth asks the same of each public top-level function or class that
+it does not re-export.
 """
 
 import ast
@@ -82,10 +84,21 @@ def test_detector_ignores_definitions_and_imports():
     assert "patched" in names_read("PATCHES = [(synth, 'patched')]\n", strings=True)
 
 
+EXPORTED = {alias.asname or alias.name
+            for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+READ = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in MODULES),
+                   *(names_read(p.read_text(encoding="utf-8"), strings=True) for p in PERFBENCH))
+
+
 def test_every_export_is_read():
-    exported = {alias.asname or alias.name
-                for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in MODULES),
-                       *(names_read(p.read_text(encoding="utf-8"), strings=True) for p in PERFBENCH))
-    assert sorted(exported - read - ENTRY_POINTS) == []
+    assert sorted(EXPORTED - READ - ENTRY_POINTS) == []
+
+
+def test_every_unexported_public_definition_is_read():
+    unread = [f"{path.name}: {node.name}" for path in MODULES
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in EXPORTED | READ | ENTRY_POINTS]
+    assert unread == []

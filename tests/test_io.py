@@ -896,3 +896,126 @@ def test_read_binary_image_from_a_fifo(tmp_path):
     got = _read_from_fifo(tmp_path, p5_bytes(bits, 1),
                           lambda p: Micrograph(read_binary_image(p).bits.astype(float)))
     assert got == (bits.shape, bits.astype(float).tobytes())
+
+
+def test_huge_downsample_pass_count_fails_fast(tmp_path):
+    path = tmp_path / "small.pgm"
+    path.write_bytes(p5_bytes(np.arange(16).reshape(4, 4), 65535))
+
+    def read():
+        with pytest.raises(ValueError, match=r"^need at least a 2x2 image to downsample, "
+                                             r"got 1x1$"):
+            read_image(path, downsample_passes=10**8)
+
+    # no integer that grows with the pass count, such as 4**passes
+    assert traced_peak(read) < 2**20
+
+
+# ---------------------------------------------------------------------------
+# The streamed reader against the whole-buffer reader it replaced
+# ---------------------------------------------------------------------------
+
+
+def _whole_buffer_samples(data):
+    """The integer samples of a P2 or P5 file as a height x width array,
+    parsed from all of its bytes at once: the reader before row strips."""
+    sc = io_module._PgmScanner(data)
+    magic, start = sc.next_token("magic number")
+    if magic not in (b"P2", b"P5"):
+        raise sc.error(f"unsupported magic {magic[:8]!r}, expected P2 or P5", start)
+    width = sc.next_int("width", 1, 10**9)
+    height = sc.next_int("height", 1, 10**9)
+    maxval = sc.next_int("maxval", 1, 65535)
+    count = width * height
+    if magic == b"P2":
+        body = io_module._blank_comments(data[sc.pos :])
+        tokens = body.split()
+        if len(tokens) < count:
+            raise ImageParseError(f"expected {count} pixel values, found {len(tokens)}",
+                                  offset=len(data), line=data.count(b"\n", 0, len(data) - 1) + 1)
+        try:
+            values = np.array(tokens, dtype=np.int64)
+            if len(tokens) == count and values.min() >= 0 and values.max() <= maxval:
+                return values.reshape(height, width)
+        except (ValueError, OverflowError):
+            pass
+        index, message = io_module._first_rejected(tokens, count, maxval)
+        raise sc.error(message, sc.pos + io_module._token_start(body, index))
+    if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in io_module._WHITESPACE:
+        raise sc.error("missing whitespace after maxval in P5 header", sc.pos)
+    start = sc.pos + 1
+    dtype = io_module._sample_dtype(maxval)
+    needed, found = count * dtype.itemsize, len(data) - start
+    if found < needed:
+        raise ImageParseError(f"truncated P5 payload: expected {needed} bytes, found {found}",
+                              offset=len(data))
+    if found > needed:
+        raise ImageParseError("trailing bytes after P5 payload", offset=start + needed)
+    values = np.frombuffer(data, dtype, count, start)
+    if maxval != np.iinfo(dtype).max and values.max(initial=0) > maxval:
+        bad = int(np.argmax(values > maxval))
+        raise ImageParseError(f"pixel value {int(values[bad])} exceeds maxval {maxval}",
+                              offset=start + bad * dtype.itemsize)
+    return values.reshape(height, width)
+
+
+def _whole_buffer_binary(data):
+    """read_binary_image on _whole_buffer_samples, as a float64 0/1 image."""
+    samples = _whole_buffer_samples(data)
+    if samples.max(initial=0) > 1:
+        values = np.unique(samples)[:5].astype(np.float64)
+        raise ImageParseError(f"expected only 0/1 samples, found values {values}")
+    return Micrograph((samples == 1).astype(np.float64))
+
+
+def _shape_and_bytes_or_error(call):
+    """(shape, bytes) of the pixels of call(), or the type and message of its ValueError."""
+    try:
+        img = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return img.pixels.shape, img.pixels.tobytes()
+
+
+ORACLE_SEEDS = [
+    b"P5\n# 16-bit\n5 6\n65535\n" + np.arange(0, 65535, 2184, dtype=">u2")[:30].tobytes(),
+    b"P5 9 8 255\n" + bytes(range(3, 219, 3)),
+    b"P5\n6 4\n1000\n" + np.arange(0, 1001, 41, dtype=">u2")[:24].tobytes(),
+    b"P2\n# c\n4 5 # size\n255\n0 12 255 3 # row\n7 8 9 10\n11 12 13 14\n15 16 17 18\n1 2 3 4\n",
+    b"P5\n8 5\n1\n" + bytes(i * 7 % 3 % 2 for i in range(40)),
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, len(ORACLE_SEEDS) - 1),
+       edits=st.lists(st.tuples(st.sampled_from("rid"), st.integers(0, 10**6),
+                                st.binary(min_size=1, max_size=8)), min_size=1, max_size=3),
+       strip=st.sampled_from([1, 3, 128]), first_read=st.sampled_from([1, 5, 4096]))
+def test_mutated_files_read_as_the_whole_buffer_reader_reads_them(tmp_path, monkeypatch, seed,
+                                                                  edits, strip, first_read):
+    from percopick import read_binary_image
+
+    # strips and first reads that end within the file, as they do for large files
+    monkeypatch.setattr(image_module, "_STRIP_ROWS", strip)
+    monkeypatch.setattr(io_module, "_HEADER_BYTES", first_read)
+
+    data = bytearray(ORACLE_SEEDS[seed])
+    for op, pos, chunk in edits:  # replace, insert or delete at a position in the file
+        pos %= len(data) + 1
+        if op == "r":
+            data[pos : pos + len(chunk)] = chunk
+        elif op == "i":
+            data[pos:pos] = chunk
+        else:
+            del data[pos : pos + len(chunk)]
+    data = bytes(data)
+    path = tmp_path / "mutated.pgm"
+    path.write_bytes(data)
+    for passes in range(4):
+        assert (_shape_and_bytes_or_error(lambda: read_image(path, downsample_passes=passes))
+                == _shape_and_bytes_or_error(lambda: downsampled(_whole_buffer_samples(data),
+                                                                 passes)))
+    assert (_shape_and_bytes_or_error(
+                lambda: Micrograph(read_binary_image(path).bits.astype(np.float64)))
+            == _shape_and_bytes_or_error(lambda: _whole_buffer_binary(data)))
