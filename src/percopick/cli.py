@@ -128,8 +128,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_detect(args) -> int:
     params = _params_from_args(args)
-    img = read_image(args.input, args.format, downsample_passes=params.downsample_passes)
-    artifacts = run_detection_artifacts(img, params, passes_done=params.downsample_passes)
+    artifacts = run_detection_artifacts(
+        read_image(args.input, args.format, downsample_passes=params.downsample_passes),
+        params, passes_done=params.downsample_passes)
     report = artifacts.report
     _write_text(args.output, report_to_json(report))
     if args.output is not None:

@@ -66,10 +66,9 @@ class DetectionReport:
 
 @dataclass(frozen=True, eq=False)
 class DetectionArtifacts:
-    """A report plus the intermediate images the report was computed from."""
+    """A report plus the thresholded picture the report was computed from."""
 
     report: DetectionReport
-    preprocessed: Micrograph
     binary: BinaryImage
 
     @cached_property
@@ -126,11 +125,11 @@ def preprocess(img: Micrograph, params: DetectParams, *, passes_done: int = 0) -
 
 def run_detection_artifacts(img: Micrograph, params: DetectParams, *,
                             passes_done: int = 0) -> DetectionArtifacts:
-    """Full pipeline, returning the report together with intermediate images;
-    passes_done is as in preprocess."""
+    """Full pipeline, returning the report together with the thresholded
+    picture; passes_done is as in preprocess."""
     pre = preprocess(img, params, passes_done=passes_done)
+    del img  # the raw frame is freed here unless the caller still holds it
     estimates = estimate_intensities(pre, params.phi0, params.phi1)
-    pre.__dict__.pop("integral", None)  # only the scans read the table; free it before labelling
     theta = compute_threshold(estimates.a_hat, estimates.b_hat)
     binary = binarize(pre, theta)
     clusters = black_clusters(binary)
@@ -139,7 +138,7 @@ def run_detection_artifacts(img: Micrograph, params: DetectParams, *,
     report = DetectionReport(estimates=estimates, theta=theta, clusters_kept=kept,
                              clusters_total=len(clusters), decision=decision, params=params,
                              image_dims=(pre.width, pre.height))
-    return DetectionArtifacts(report=report, preprocessed=pre, binary=binary)
+    return DetectionArtifacts(report=report, binary=binary)
 
 
 def run_detection(img: Micrograph, params: DetectParams) -> DetectionReport:

@@ -1,19 +1,16 @@
 """Pixel-grid primitives: micrographs, integral tables, window sums.
 
 All pixel data is 64-bit float. Pixel arrays are read-only and every
-operation returns a fresh image. The one thing an image gains after
-construction is its integral table, a plain read-only float64 array built on
-first use of `Micrograph.integral` and then kept for every later scan of the
-same image. The table is a pure function of the pixels, so sharing an image
-across threads stays safe: a race on the first use at worst builds an equal
-table twice.
+operation returns a fresh image. An image holds nothing but its pixels: its
+integral table is a plain read-only float64 array that build_integral makes
+on each call, so a caller builds it where the scans read it and drops it
+with them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +40,6 @@ class Micrograph:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    @cached_property
-    def integral(self) -> np.ndarray:
-        """The cumulative-sum table of the pixels, built once per image."""
-        return _cumulative_table(self.pixels)
-
 
 def _owned(a, dtype) -> np.ndarray:
     """a itself if it is a read-only, C-contiguous ndarray of dtype that owns its
@@ -76,18 +68,12 @@ class WindowStats:
 
 
 def build_integral(img: Micrograph) -> np.ndarray:
-    """The cumulative-sum table of an image: built on the first call, then shared."""
-    return img.integral
-
-
-def _cumulative_table(array: np.ndarray) -> np.ndarray:
-    """Read-only float64 table with table[r, c] = sum of array[:r, :c], in one
-    linear sweep. The first row and column are zero, so any axis-aligned window
-    sum is four table lookups."""
-    height, width = array.shape
-    table = np.zeros((height + 1, width + 1), dtype=np.float64)
+    """A new read-only float64 table with table[r, c] = sum of img.pixels[:r, :c],
+    in one linear sweep. The first row and column are zero, so any axis-aligned
+    window sum is four table lookups."""
+    table = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
     inner = table[1:, 1:]  # both running sums go straight into the table, no temporaries
-    np.cumsum(array, axis=0, out=inner)
+    np.cumsum(img.pixels, axis=0, out=inner)
     np.cumsum(inner, axis=1, out=inner)
     table.setflags(write=False)
     return table

@@ -2,14 +2,14 @@
 
 PGM payloads are raw integer samples in [0, maxval]. Both PGM readers open the
 file through _pgm_rows: the header is parsed from a first read, which grows
-while a token or comment reaches its end, and a P5 payload's length is checked
-against the file's size before any of it is read. The payload is then read in
-row strips, each a new array of native integers, and range-checked strip by
-strip; P2 text is parsed whole. read_image block-sums the strips as integers
-as they arrive (image.downsample_rows), so the file's bytes are never held
-whole and only the reduced image is ever float64; read_binary_image reads the
-samples into one array. A pipe or other file that cannot tell its size is read
-into memory first and then goes through the same code. CSV stores decimal
+while a comment or a short token reaches its end, and a P5 payload's length is
+checked against the file's size before any of it is read. The payload is then
+read in row strips, each a new array of native integers, and range-checked
+strip by strip; P2 text is parsed whole. read_image block-sums the strips as
+integers as they arrive (image.downsample_rows), so the file's bytes are never
+held whole and only the reduced image is ever float64; read_binary_image reads
+the samples into one array. A pipe or other file that cannot tell its size is
+read into memory first and then goes through the same code. CSV stores decimal
 floats and round-trips exactly. Both writers emit samples with _pgm_chunks,
 and write_image rounds float pixels straight into them. Writers are atomic
 (temp file + rename over the file the path resolves to) and stream the file as
@@ -113,6 +113,7 @@ def _sample_dtype(maxval: int) -> np.dtype:
 
 
 _HEADER_BYTES = 4096  # the first read of a PGM file, enough for any usual header
+_TOKEN_BYTES = 64  # a failed header token this long is rejected, not read to its end
 
 
 def _parse_header(sc: _PgmScanner) -> tuple[bytes, int, int, int]:
@@ -133,14 +134,18 @@ def _parse_header(sc: _PgmScanner) -> tuple[bytes, int, int, int]:
 def _read_header(fh: BinaryIO) -> tuple[_PgmScanner, tuple[bytes, int, int, int]]:
     """The scanner over the bytes read from the start of fh, and the header it
     parsed. A parse that stops at the end of those bytes, where one more byte
-    could lengthen the last token or comment, runs again on twice the bytes."""
+    could lengthen the last token or comment, runs again on twice the bytes;
+    but one that failed on a token already over _TOKEN_BYTES long fails as it
+    is (the magic is 2 bytes, a number in range has at most 10 significant
+    digits)."""
     sc = _PgmScanner(fh.read(_HEADER_BYTES))
     while True:
         sc.pos = 0
         try:
             header = _parse_header(sc)
-        except ImageParseError:
-            if sc.pos < len(sc.data) or not (more := fh.read(len(sc.data))):
+        except ImageParseError as exc:
+            if (sc.pos < len(sc.data) or exc.offset < len(sc.data) - _TOKEN_BYTES
+                    or not (more := fh.read(len(sc.data)))):
                 raise
         else:
             if sc.pos < len(sc.data) or not (more := fh.read(len(sc.data))):

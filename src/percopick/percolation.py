@@ -154,7 +154,7 @@ def filter_clusters(clusters: ClusterSequence, min_pixels: int) -> ClusterSequen
         return clusters
     lut = np.zeros(len(clusters) + 1, dtype=np.int32)
     lut[1:][keep] = np.arange(1, np.count_nonzero(keep) + 1)
-    return ClusterSequence(lut.take(clusters.labels), clusters.ids[keep], clusters.sizes[keep])
+    return ClusterSequence(lut[clusters.labels], clusters.ids[keep], clusters.sizes[keep])
 
 
 def bernoulli_field(width: int, height: int, p: float, seed) -> BinaryImage:

@@ -26,18 +26,18 @@ class IntensityEstimates:
     k_hat_high: WindowStats
 
 
-def _check_side(img: Micrograph, side: int) -> None:
-    limit = min(img.width, img.height)
+def _check_side(table: np.ndarray, side: int) -> None:
+    height, width = table.shape[0] - 1, table.shape[1] - 1
+    limit = min(width, height)
     if side < 1 or side > limit:
         raise ValueError(
-            f"window side {side} out of range 1..{limit} for a "
-            f"{img.width}x{img.height} image"
+            f"window side {side} out of range 1..{limit} for a {width}x{height} image"
         )
 
 
-def _extremal_window(img: Micrograph, side: int, take_max: bool) -> WindowStats:
-    _check_side(img, side)
-    sums = window_sums(build_integral(img), side)
+def _extremal_window(table: np.ndarray, side: int, take_max: bool) -> WindowStats:
+    _check_side(table, side)
+    sums = window_sums(table, side)
     # np.argmin/argmax return the first extremum in row-major order, which is
     # exactly the lexicographic (row, col) tie-break.
     flat = int(np.argmax(sums) if take_max else np.argmin(sums))
@@ -46,25 +46,30 @@ def _extremal_window(img: Micrograph, side: int, take_max: bool) -> WindowStats:
     return WindowStats(row=row, col=col, side=side, sum=total, mean=total / (side * side))
 
 
-def scan_min_window(img: Micrograph, side: int) -> WindowStats:
-    """The window of the given side with minimal sum; ties go to the smallest (row, col)."""
-    return _extremal_window(img, side, take_max=False)
+def scan_min_window(table: np.ndarray, side: int) -> WindowStats:
+    """The window of the given side with minimal sum in an image's integral
+    table (build_integral); ties go to the smallest (row, col)."""
+    return _extremal_window(table, side, take_max=False)
 
 
-def scan_max_window(img: Micrograph, side: int) -> WindowStats:
-    """The window of the given side with maximal sum; ties go to the smallest (row, col)."""
-    return _extremal_window(img, side, take_max=True)
+def scan_max_window(table: np.ndarray, side: int) -> WindowStats:
+    """The window of the given side with maximal sum in an image's integral
+    table (build_integral); ties go to the smallest (row, col)."""
+    return _extremal_window(table, side, take_max=True)
 
 
-def estimate_lower(img: Micrograph, phi0: int) -> float:
-    """Background intensity estimate: mean of the minimum-sum phi0 window."""
-    return scan_min_window(img, phi0).mean
+def estimate_lower(img: Micrograph, *phi0s: int) -> list[float]:
+    """Background intensity estimates, one per window side: the mean of the
+    minimum-sum phi0 window, every side read from one integral table."""
+    table = build_integral(img)
+    return [scan_min_window(table, phi0).mean for phi0 in phi0s]
 
 
 def estimate_intensities(img: Micrograph, phi0: int, phi1: int) -> IntensityEstimates:
-    """Run both scans and bundle the results."""
-    low = scan_min_window(img, phi0)
-    high = scan_max_window(img, phi1)
+    """Run both scans on one integral table and bundle the results."""
+    table = build_integral(img)
+    low = scan_min_window(table, phi0)
+    high = scan_max_window(table, phi1)
     return IntensityEstimates(
         a_hat=low.mean,
         b_hat=high.mean,

@@ -452,7 +452,7 @@ class ConsistencyTable:
 
 def _consistency_trial(spec, noise, phi0_grid, seed, trial):
     img, _ = generate_scene(spec, noise, [seed, trial])
-    errs = [abs(estimate_lower(img, phi0) - spec.a) for phi0 in phi0_grid]
+    errs = [abs(a_hat - spec.a) for a_hat in estimate_lower(img, *phi0_grid)]
     return errs, abs(naive_mean(img) - spec.a)
 
 

@@ -71,8 +71,8 @@ def test_criterion_1_oracle_equivalence():
             # first occurrence in row-major order = lexicographic tie-break
             lo = divmod(int(np.argmin(brute)), brute.shape[1])
             hi = divmod(int(np.argmax(brute)), brute.shape[1])
-            wlo = scan_min_window(img, side)
-            whi = scan_max_window(img, side)
+            wlo = scan_min_window(ii, side)
+            whi = scan_max_window(ii, side)
             assert (wlo.row, wlo.col) == lo, f"argmin mismatch image {i} side {side}"
             assert (whi.row, whi.col) == hi, f"argmax mismatch image {i} side {side}"
     elapsed = time.time() - start
@@ -107,9 +107,9 @@ def estimator_family():
     errs_naive = []
     for trial in range(100):
         img, _ = generate_scene(spec, noise, [SEED, 20, trial])
-        for phi0 in (16, 32, 64):
-            errs_a[phi0].append(abs(estimate_lower(img, phi0) - spec.a))
-        errs_b.append(abs(scan_max_window(img, 16).mean - spec.b))
+        for phi0, a_hat in zip((16, 32, 64), estimate_lower(img, 16, 32, 64)):
+            errs_a[phi0].append(abs(a_hat - spec.a))
+        errs_b.append(abs(scan_max_window(build_integral(img), 16).mean - spec.b))
         errs_naive.append(abs(naive_mean(img) - spec.a))
     return {
         "median_a": {k: float(np.median(v)) for k, v in errs_a.items()},

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,31 @@ def test_detect_binary_outputs(two_level_pgm, tmp_path):
     assert set(np.unique(img.pixels)) == {0.0, 1.0}
     assert img.pixels.sum() == 400  # 1 = black
     assert read_image(filtered).pixels.sum() == 400
+
+
+@pytest.mark.parametrize("passes, bytes_per_pixel", [
+    (["--downsample", "0"], 26),  # 38.5 if the raw frame or a table outlives its last reader
+    ([], 2.7),  # the default two passes: no rise
+], ids=["full-resolution", "default"])
+def test_detect_traced_peak_per_source_pixel(tmp_path, capsys, passes, bytes_per_pixel):
+    # a seeded 640x640 16-bit frame: uniform noise, particles in the lower half
+    n = 640
+    pixels = np.random.default_rng(640).uniform(0.0, 0.7, (n, n))
+    for r in range(320, n, 160):
+        for c in range(0, n, 160):
+            pixels[r + 40 : r + 120, c + 40 : c + 120] += 0.15
+    path = tmp_path / "mic.pgm"
+    write_image(Micrograph(pixels / 0.85 * 65535), path, maxval=65535)
+    del pixels
+    argv = ["detect", "--in", str(path), "--out", str(tmp_path / "report.json"), *passes]
+    assert main(argv) == 0  # the first run pays for one-time allocations
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_pixel * n * n, f"{peak / (n * n):.2f} bytes per source pixel"
 
 
 def test_estimate_prints_values(two_level_pgm, capsys):

@@ -189,10 +189,6 @@ class TestRunDetection:
             base.report.estimates.a_hat + 0.17, abs=1e-12
         )
 
-    def test_artifacts_release_the_integral_table(self):
-        art = run_detection_artifacts(two_level_image(), self.PARAMS)
-        assert "integral" not in art.preprocessed.__dict__
-
     def test_artifacts_kept_binary_matches_clusters(self):
         img = two_level_image()
         art = run_detection_artifacts(img, self.PARAMS)

@@ -850,6 +850,27 @@ def test_header_comment_longer_than_the_first_read(tmp_path):
                               f"(line 3, byte {7 + len(comment)})")
 
 
+@pytest.mark.parametrize("head, fill, message", [
+    (b"", b"X", r"^unsupported magic b'XXXXXXXX', expected P2 or P5 \(line 1, byte 0\)$"),
+    (b"P5 ", b"7", r"^width 7+ outside allowed range 1\.\.1000000000 \(line 1, byte 3\)$"),
+], ids=["magic", "width"])
+def test_overlong_first_header_token_fails_without_reading_the_file(tmp_path, head, fill,
+                                                                     message):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(head + fill * (32 << 20))  # 32 MiB with no separator
+
+    def read():
+        with pytest.raises(ImageParseError, match=message):
+            read_image(path)
+
+    start = time.perf_counter()
+    peak = traced_peak(read)
+    elapsed = time.perf_counter() - start
+    # reading to the token's end took 0.5-1.5 s and 80-144 MiB traced
+    assert peak < 2**20
+    assert elapsed < 0.2, f"rejecting the header took {elapsed:.2f} s"
+
+
 def _read_from_fifo(tmp_path, data, read):
     """read(path) of a named pipe that a writer thread feeds with data."""
     fifo = tmp_path / "pipe.pgm"

@@ -44,3 +44,17 @@ def test_patch_points_fire_on_their_workload(perfbench, tmp_path, workload, span
     assert check(out) is None
     fired = {name for name, *_ in tracer.spans}
     assert spans <= fired, f"{workload} reached only {sorted(fired)}"
+
+
+def test_consistency_counts_every_side_and_one_table_per_trial(perfbench, tmp_path):
+    # the counters that scan.windows_per_s and image.integral_s read
+    tracing, workloads = perfbench
+    wl = workloads.WORKLOADS["consistency"](3, tmp_path, tiny=True)  # N=256, sides 16, 32, 64
+    wl.setup()
+    call, check = wl.unit_call(0)  # a one-trial batch
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    with tracer.patched():
+        assert check(call()) is None
+    assert tracer.counts[0]["scan.windows"] == sum((257 - s) ** 2 for s in (16, 32, 64)) == 145_955
+    assert [name for name, *_ in tracer.spans].count("image.integral") == 1

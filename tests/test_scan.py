@@ -5,13 +5,14 @@ import pytest
 
 from percopick import (
     Micrograph,
+    build_integral,
     estimate_intensities,
     estimate_lower,
     naive_mean,
     scan_max_window,
     scan_min_window,
 )
-from percopick import image
+from percopick import scan
 
 
 def exhaustive_extremum(pixels, side, take_max):
@@ -30,23 +31,23 @@ def exhaustive_extremum(pixels, side, take_max):
 
 class TestScanWindows:
     def test_constant_image_ties_break_to_origin(self):
-        win = scan_min_window(Micrograph(np.full((6, 6), 3.0)), 3)
+        win = scan_min_window(build_integral(Micrograph(np.full((6, 6), 3.0))), 3)
         assert (win.row, win.col) == (0, 0)
         assert win.mean == 3.0
-        win = scan_max_window(Micrograph(np.full((6, 6), 3.0)), 3)
+        win = scan_max_window(build_integral(Micrograph(np.full((6, 6), 3.0))), 3)
         assert (win.row, win.col) == (0, 0)
 
     def test_single_dark_pixel_found(self):
         pixels = np.ones((4, 4))
         pixels[3, 3] = 0.0
-        win = scan_min_window(Micrograph(pixels), 1)
+        win = scan_min_window(build_integral(Micrograph(pixels)), 1)
         assert (win.row, win.col) == (3, 3)
         assert win.mean == 0.0
 
     def test_bright_block_found(self):
         pixels = np.zeros((10, 10))
         pixels[4:7, 2:5] = 1.0
-        win = scan_max_window(Micrograph(pixels), 3)
+        win = scan_max_window(build_integral(Micrograph(pixels)), 3)
         assert (win.row, win.col) == (4, 2)
         assert win.mean == 1.0
 
@@ -54,10 +55,10 @@ class TestScanWindows:
     def test_random_12x12_matches_exhaustive_argmin_argmax(self, seed):
         rng = np.random.default_rng(100 + seed)
         pixels = rng.random((12, 12))
-        img = Micrograph(pixels)
-        for take_max, scan in ((False, scan_min_window), (True, scan_max_window)):
+        table = build_integral(Micrograph(pixels))
+        for take_max, scan_window in ((False, scan_min_window), (True, scan_max_window)):
             pos, total = exhaustive_extremum(pixels, 4, take_max)
-            win = scan(img, 4)
+            win = scan_window(table, 4)
             assert (win.row, win.col) == pos
             assert win.sum == pytest.approx(total, abs=1e-9)
             assert win.mean == pytest.approx(total / 16, abs=1e-9)
@@ -68,30 +69,30 @@ class TestScanWindows:
         # the lexicographic tie-break is genuinely exercised
         rng = np.random.default_rng(200 + seed)
         pixels = rng.integers(0, 3, size=(10, 10)) / 8.0
-        img = Micrograph(pixels)
-        for take_max, scan in ((False, scan_min_window), (True, scan_max_window)):
+        table = build_integral(Micrograph(pixels))
+        for take_max, scan_window in ((False, scan_min_window), (True, scan_max_window)):
             pos, _ = exhaustive_extremum(pixels, 3, take_max)
-            win = scan(img, 3)
+            win = scan_window(table, 3)
             assert (win.row, win.col) == pos
 
     def test_window_stats_invariants(self):
         rng = np.random.default_rng(7)
         img = Micrograph(rng.random((9, 13)))
-        win = scan_min_window(img, 4)
+        win = scan_min_window(build_integral(img), 4)
         assert win.mean == win.sum / 16
         assert 0 <= win.row <= img.height - 4
         assert 0 <= win.col <= img.width - 4
 
     @pytest.mark.parametrize("side", [0, -1, 13])
     def test_side_out_of_range(self, side):
-        img = Micrograph(np.zeros((12, 12)))
+        table = build_integral(Micrograph(np.zeros((12, 12))))
         with pytest.raises(ValueError):
-            scan_min_window(img, side)
+            scan_min_window(table, side)
 
     def test_side_equal_to_min_dimension(self):
         rng = np.random.default_rng(31)
         pixels = rng.random((5, 8))
-        win = scan_min_window(Micrograph(pixels), 5)
+        win = scan_min_window(build_integral(Micrograph(pixels)), 5)
         pos, _ = exhaustive_extremum(pixels, 5, take_max=False)
         assert (win.row, win.col) == pos
 
@@ -101,8 +102,8 @@ class TestEstimates:
         pixels = np.full((32, 32), 0.25)
         pixels[4:14, 18:28] = 0.75  # a 10x10 particle
         img = Micrograph(pixels)
-        assert estimate_lower(img, 8) == 0.25
-        assert scan_max_window(img, 8).mean == 0.75
+        assert estimate_lower(img, 8) == [0.25]
+        assert scan_max_window(build_integral(img), 8).mean == 0.75
 
     def test_estimates_bundle_consistency(self):
         rng = np.random.default_rng(17)
@@ -113,15 +114,18 @@ class TestEstimates:
         assert est.phi0 == 6 and est.phi1 == 3
         assert est.k_hat_low.side == 6 and est.k_hat_high.side == 3
 
-    def test_both_scans_share_one_integral_table(self, monkeypatch):
+    def test_one_integral_table_per_estimate_call(self, monkeypatch):
         builds = []
-        build = image._cumulative_table
-        monkeypatch.setattr(image, "_cumulative_table",
-                            lambda px: builds.append(px) or build(px))
+        build = scan.build_integral
+        monkeypatch.setattr(scan, "build_integral", lambda img: builds.append(img) or build(img))
         img = Micrograph(np.random.default_rng(29).random((12, 12)))
-        estimate_intensities(img, 4, 2)
-        estimate_lower(img, 6)
-        assert len(builds) == 1 and builds[0] is img.pixels
+        est = estimate_intensities(img, 4, 2)
+        assert builds == [img]
+        lows = estimate_lower(img, 6, 4)
+        assert builds == [img, img]
+        assert lows[1] == est.a_hat
+        table = build(img)
+        assert lows == [scan_min_window(table, 6).mean, scan_min_window(table, 4).mean]
 
     def test_min_leq_max_for_equal_sides(self):
         rng = np.random.default_rng(23)
@@ -137,7 +141,7 @@ class TestEstimates:
         for _ in range(trials):
             pixels = np.full((128, 128), 0.3) + rng.uniform(-0.2, 0.2, (128, 128))
             pixels[:40, :40] += 0.4  # contamination away from the lower-right half
-            a_hat = estimate_lower(Micrograph(pixels), 48)
+            [a_hat] = estimate_lower(Micrograph(pixels), 48)
             if abs(a_hat - 0.3) < 0.02:
                 hits += 1
         assert hits >= trials * 0.9
@@ -147,27 +151,28 @@ class TestScanInvariances:
     def test_min_mean_leq_naive_leq_max_mean(self):
         rng = np.random.default_rng(5)
         img = Micrograph(rng.random((24, 24)))
+        table = build_integral(img)
         for side in (1, 4, 9, 24):
-            assert scan_min_window(img, side).mean <= naive_mean(img) + 1e-12
-            assert scan_max_window(img, side).mean >= naive_mean(img) - 1e-12
+            assert scan_min_window(table, side).mean <= naive_mean(img) + 1e-12
+            assert scan_max_window(table, side).mean >= naive_mean(img) - 1e-12
 
     def test_shift_moves_estimates_not_windows(self):
         rng = np.random.default_rng(6)
         pixels = rng.random((18, 18))
-        img = Micrograph(pixels)
-        shifted = Micrograph(pixels + 2.5)
-        for scan in (scan_min_window, scan_max_window):
-            w0, w1 = scan(img, 5), scan(shifted, 5)
+        table = build_integral(Micrograph(pixels))
+        shifted = build_integral(Micrograph(pixels + 2.5))
+        for scan_window in (scan_min_window, scan_max_window):
+            w0, w1 = scan_window(table, 5), scan_window(shifted, 5)
             assert (w0.row, w0.col) == (w1.row, w1.col)
             assert w1.mean == pytest.approx(w0.mean + 2.5, abs=1e-12)
 
     def test_scale_multiplies_estimates_not_windows(self):
         rng = np.random.default_rng(8)
         pixels = rng.random((18, 18))
-        img = Micrograph(pixels)
-        scaled = Micrograph(pixels * 3.0)
-        for scan in (scan_min_window, scan_max_window):
-            w0, w1 = scan(img, 4), scan(scaled, 4)
+        table = build_integral(Micrograph(pixels))
+        scaled = build_integral(Micrograph(pixels * 3.0))
+        for scan_window in (scan_min_window, scan_max_window):
+            w0, w1 = scan_window(table, 4), scan_window(scaled, 4)
             assert (w0.row, w0.col) == (w1.row, w1.col)
             assert w1.mean == pytest.approx(3.0 * w0.mean, rel=1e-12)
 
