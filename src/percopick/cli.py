@@ -116,8 +116,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_estimate(args) -> int:
     params = _params_from_args(args)
-    img = read_image(args.input, args.format, downsample_passes=params.downsample_passes)
-    pre = preprocess(img, params, passes_done=params.downsample_passes)
+    pre = preprocess(
+        read_image(args.input, args.format, downsample_passes=params.downsample_passes),
+        params, passes_done=params.downsample_passes)
     est = estimate_intensities(pre, params.phi0, params.phi1)
     print(f"a_hat {fmt6(est.a_hat)}")
     print(f"b_hat {fmt6(est.b_hat)}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +70,9 @@ class DetectionArtifacts:
     report: DetectionReport
     binary: BinaryImage
 
-    @cached_property
+    @property
     def kept_binary(self) -> BinaryImage:
-        """The kept clusters as a picture, built on the first read."""
+        """The kept clusters as a picture, built on each read."""
         return _adopt_bits(self.report.clusters_kept.labels > 0)
 
 

@@ -4,7 +4,7 @@ PGM payloads are raw integer samples in [0, maxval]. Both PGM readers open the
 file through _pgm_rows: the header is parsed from a first read, which grows
 while a comment or a short token reaches its end, and a P5 payload's length is
 checked against the file's size before any of it is read. The payload is then
-read in row strips, each a new array of native integers, and range-checked
+read in row strips, each a new array of the file's samples, and range-checked
 strip by strip; P2 text is parsed whole. read_image block-sums the strips as
 integers as they arrive (image.downsample_rows), so the file's bytes are never
 held whole and only the reduced image is ever float64; read_binary_image reads
@@ -73,6 +73,8 @@ class _PgmScanner:
 
     def next_int(self, what: str, low: int, high: int) -> int:
         tok, start = self.next_token(what)
+        if len(tok) > _TOKEN_BYTES:  # int() of thousands of digits would be echoed whole
+            raise self.error(f"{what} token is longer than {_TOKEN_BYTES} bytes", start)
         try:
             value = int(tok)
         except ValueError:
@@ -113,7 +115,7 @@ def _sample_dtype(maxval: int) -> np.dtype:
 
 
 _HEADER_BYTES = 4096  # the first read of a PGM file, enough for any usual header
-_TOKEN_BYTES = 64  # a failed header token this long is rejected, not read to its end
+_TOKEN_BYTES = 64  # a longer header number is rejected, a failed token not read to its end
 
 
 def _parse_header(sc: _PgmScanner) -> tuple[bytes, int, int, int]:
@@ -177,9 +179,9 @@ def _p2_samples(sc: _PgmScanner, width: int, height: int, maxval: int) -> np.nda
 
 def _p5_rows(fh: BinaryIO, start: int, width: int, maxval: int) -> Callable[[int, int], np.ndarray]:
     """read(r, n): the next n rows of the P5 payload that starts at byte
-    `start` of fh, r being the index of the first, as a new array of native
-    integers. A sample above maxval is reported at its offset before the rows
-    are returned."""
+    `start` of fh, r being the index of the first, as a new array of the
+    file's samples (2-byte ones stay big-endian). A sample above maxval is
+    reported at its offset before the rows are returned."""
     dtype = _sample_dtype(maxval)
     check = maxval != np.iinfo(dtype).max  # else no sample can exceed it
 
@@ -189,8 +191,6 @@ def _p5_rows(fh: BinaryIO, start: int, width: int, maxval: int) -> Callable[[int
         if got < rows.nbytes:  # the file shrank after its size was taken
             raise ImageParseError("truncated P5 payload: the file shrank while it was read",
                                   offset=start + r * width * dtype.itemsize + got)
-        # copying swaps the bytes of 2-byte samples faster than byteswap in place
-        rows = rows.astype(dtype.newbyteorder("="), copy=False)
         if check and rows.max() > maxval:
             bad = int(np.argmax(rows > maxval))
             raise ImageParseError(f"pixel value {int(rows.flat[bad])} exceeds maxval {maxval}",
@@ -204,7 +204,7 @@ def _p5_rows(fh: BinaryIO, start: int, width: int, maxval: int) -> Callable[[int
 def _pgm_rows(path: str | Path) -> Iterator[tuple[Callable[[int, int], np.ndarray],
                                                   tuple[int, int]]]:
     """(read, (height, width)) of a P2 or P5 file: read(r, n) returns rows
-    r..r+n-1 as an array of native integers, called with the rows in order.
+    r..r+n-1 as an array of the file's samples, called with the rows in order.
     The header is parsed and a P5 payload's length checked on entry; a P5
     payload is then read strip by strip, so its bytes are never held whole.
     A file that is not a regular one, such as a pipe, is read whole first,

@@ -20,8 +20,6 @@ class IntensityEstimates:
 
     a_hat: float
     b_hat: float
-    phi0: int
-    phi1: int
     k_hat_low: WindowStats
     k_hat_high: WindowStats
 
@@ -70,14 +68,7 @@ def estimate_intensities(img: Micrograph, phi0: int, phi1: int) -> IntensityEsti
     table = build_integral(img)
     low = scan_min_window(table, phi0)
     high = scan_max_window(table, phi1)
-    return IntensityEstimates(
-        a_hat=low.mean,
-        b_hat=high.mean,
-        phi0=phi0,
-        phi1=phi1,
-        k_hat_low=low,
-        k_hat_high=high,
-    )
+    return IntensityEstimates(a_hat=low.mean, b_hat=high.mean, k_hat_low=low, k_hat_high=high)
 
 
 def naive_mean(img: Micrograph) -> float:

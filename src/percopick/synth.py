@@ -45,16 +45,11 @@ from .scan import estimate_lower, naive_mean
 # ---------------------------------------------------------------------------
 
 class NoiseModel(abc.ABC):
-    """Mean-zero i.i.d. noise, symmetric about 0, with |eps| <= bound a.s.
+    """Mean-zero i.i.d. noise, symmetric about 0 and bounded almost surely.
 
-    Subclasses expose `bound` (the almost-sure bound M), `variance`, and a
-    seeded vectorized `sample` that returns a fresh float64 array, which
-    generate_scene adds the scene's levels into.
+    A subclass implements a seeded vectorized `sample` that returns a fresh
+    float64 array, which generate_scene adds the scene's levels into.
     """
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.variance)
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
@@ -63,21 +58,13 @@ class NoiseModel(abc.ABC):
 
 @dataclass(frozen=True)
 class UniformNoise(NoiseModel):
-    """Uniform noise on [-half_width, half_width]; variance half_width^2 / 3."""
+    """Uniform noise on [-half_width, half_width]."""
 
     half_width: float
 
     def __post_init__(self):
         if not (self.half_width >= 0 and math.isfinite(self.half_width)):
             raise ValueError(f"half_width must be finite and >= 0, got {self.half_width}")
-
-    @property
-    def bound(self) -> float:
-        return self.half_width
-
-    @property
-    def variance(self) -> float:
-        return self.half_width ** 2 / 3.0
 
     def sample(self, rng, shape):
         return rng.uniform(-self.half_width, self.half_width, size=shape)
@@ -99,15 +86,6 @@ class TruncatedGaussianNoise(NoiseModel):
             raise ValueError(f"sigma_raw must be finite and > 0, got {self.sigma_raw}")
         if not (self.bound > 0 and math.isfinite(self.bound)):
             raise ValueError(f"bound must be finite and > 0, got {self.bound}")
-
-    @property
-    def variance(self) -> float:
-        # Exact variance of a symmetrically truncated normal:
-        # sigma^2 * (1 - 2 alpha pdf(alpha) / (2 cdf(alpha) - 1)), alpha = M/sigma.
-        alpha = self.bound / self.sigma_raw
-        pdf = math.exp(-0.5 * alpha * alpha) / math.sqrt(2.0 * math.pi)
-        mass = math.erf(alpha / math.sqrt(2.0))
-        return self.sigma_raw ** 2 * (1.0 - 2.0 * alpha * pdf / mass)
 
     def sample(self, rng, shape):
         n = int(np.prod(shape))

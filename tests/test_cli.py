@@ -81,11 +81,16 @@ def test_detect_binary_outputs(two_level_pgm, tmp_path):
     assert read_image(filtered).pixels.sum() == 400
 
 
-@pytest.mark.parametrize("passes, bytes_per_pixel", [
-    (["--downsample", "0"], 26),  # 38.5 if the raw frame or a table outlives its last reader
-    ([], 2.7),  # the default two passes: no rise
-], ids=["full-resolution", "default"])
-def test_detect_traced_peak_per_source_pixel(tmp_path, capsys, passes, bytes_per_pixel):
+@pytest.mark.parametrize("command, passes, bytes_per_pixel", [
+    # at 0 passes, detect measures 38.5 if the raw frame or a table outlives its
+    # last reader, and estimate 32.2 if the raw frame outlives preprocess
+    ("detect", ["--downsample", "0"], 26),
+    ("detect", [], 2.7),  # the default two passes: no rise
+    ("estimate", ["--downsample", "0"], 26),
+    ("estimate", [], 2.7),
+], ids=["full-resolution", "default", "estimate-full-resolution", "estimate-default"])
+def test_detect_traced_peak_per_source_pixel(tmp_path, capsys, command, passes,
+                                             bytes_per_pixel):
     # a seeded 640x640 16-bit frame: uniform noise, particles in the lower half
     n = 640
     pixels = np.random.default_rng(640).uniform(0.0, 0.7, (n, n))
@@ -95,7 +100,9 @@ def test_detect_traced_peak_per_source_pixel(tmp_path, capsys, passes, bytes_per
     path = tmp_path / "mic.pgm"
     write_image(Micrograph(pixels / 0.85 * 65535), path, maxval=65535)
     del pixels
-    argv = ["detect", "--in", str(path), "--out", str(tmp_path / "report.json"), *passes]
+    argv = [command, "--in", str(path), *passes]
+    if command == "detect":
+        argv += ["--out", str(tmp_path / "report.json")]
     assert main(argv) == 0  # the first run pays for one-time allocations
     tracemalloc.start()
     try:
@@ -145,6 +152,14 @@ def test_malformed_image_exits_1(tmp_path, capsys):
     code = main(["detect", "--in", str(bad)])
     assert code == 1
     assert "truncated" in capsys.readouterr().err
+
+
+def test_overlong_header_number_gives_one_short_line(tmp_path, capsys):
+    bad = tmp_path / "long.pgm"
+    bad.write_bytes(b"P5 " + b"7" * (1 << 20))  # one width token of 1 MiB
+    assert main(["estimate", "--in", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, f"{len(err)} bytes: {err[:80]!r}"
 
 
 SCENE_DOC = {

@@ -102,10 +102,11 @@ def disc_scene_pgm(tmp_path_factory):
     return path
 
 
-def test_estimate_matches_the_library_path(disc_scene_pgm, capsys):
+@pytest.mark.parametrize("passes", [0, 1, 2])
+def test_estimate_matches_the_library_path(disc_scene_pgm, capsys, passes):
     # the library path reads at full size; the CLI downsamples while reading
-    assert main(["estimate", "--in", str(disc_scene_pgm)]) == 0
-    params = DetectParams()
+    assert main(["estimate", "--in", str(disc_scene_pgm), "--downsample", str(passes)]) == 0
+    params = DetectParams(downsample_passes=passes)
     est = estimate_intensities(preprocess(read_image(disc_scene_pgm), params),
                                params.phi0, params.phi1)
     theta = compute_threshold(est.a_hat, est.b_hat)

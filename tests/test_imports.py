@@ -1,5 +1,6 @@
 """Every module of the package uses what it imports, imports nothing private
-from another module, and re-exports nothing that no module reads.
+from another module, re-exports nothing that no module reads, and keeps no
+hidden cache.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: an imported name that no other node of the module reads is an
@@ -9,7 +10,8 @@ ownership helpers that let an image type take an array without a copy.
 the third asks that each name it re-exports is read by some package module or
 by the benchmark, which patches layer functions by their names as strings,
 and the fourth asks the same of each public top-level function or class that
-it does not re-export.
+it does not re-export. The last fails on a functools cache or a touch of
+`__dict__`: state that a frozen value would keep beside its fields.
 """
 
 import ast
@@ -21,6 +23,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "percopick"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PERFBENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 HANDOVERS = {"_adopt", "_adopt_bits", "_owned"}
+CACHES = {"cached_property", "cache", "lru_cache"}  # of functools
 ENTRY_POINTS = {"run_detection"}  # the documented library entry point
 
 
@@ -102,3 +105,28 @@ def test_every_unexported_public_definition_is_read():
               and not node.name.startswith("_")
               and node.name not in EXPORTED | READ | ENTRY_POINTS]
     assert unread == []
+
+
+def hidden_caches(source: str) -> list[str]:
+    """functools caches a module imports or names, and its touches of __dict__."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in CACHES]
+        elif isinstance(node, ast.Attribute) and (
+                node.attr == "__dict__" or node.attr in CACHES
+                and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append((node.lineno, node.attr))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detector_flags_a_hidden_cache():
+    source = ("from functools import cached_property, partial\nimport functools\n"
+              "f = functools.lru_cache(g)\nx.__dict__.pop('y')\nh = functools.reduce\n")
+    assert hidden_caches(source) == ["line 1: cached_property", "line 3: lru_cache",
+                                     "line 4: __dict__"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_keeps_no_hidden_cache(path):
+    assert hidden_caches(path.read_text(encoding="utf-8")) == []

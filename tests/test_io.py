@@ -852,7 +852,7 @@ def test_header_comment_longer_than_the_first_read(tmp_path):
 
 @pytest.mark.parametrize("head, fill, message", [
     (b"", b"X", r"^unsupported magic b'XXXXXXXX', expected P2 or P5 \(line 1, byte 0\)$"),
-    (b"P5 ", b"7", r"^width 7+ outside allowed range 1\.\.1000000000 \(line 1, byte 3\)$"),
+    (b"P5 ", b"7", r"^width token is longer than 64 bytes \(line 1, byte 3\)$"),
 ], ids=["magic", "width"])
 def test_overlong_first_header_token_fails_without_reading_the_file(tmp_path, head, fill,
                                                                      message):
@@ -869,6 +869,26 @@ def test_overlong_first_header_token_fails_without_reading_the_file(tmp_path, he
     # reading to the token's end took 0.5-1.5 s and 80-144 MiB traced
     assert peak < 2**20
     assert elapsed < 0.2, f"rejecting the header took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("header, outcome", [
+    (b"P2 %s 1 255\n" % (b"0" * 63 + b"2"), [[5.0, 6.0]]),  # 64 bytes: leading zeros are legal
+    (b"P2 12345678901234567890 1 255\n",
+     "width 12345678901234567890 outside allowed range 1..1000000000 (line 1, byte 3)"),
+    (b"P2 2 %s 255\n" % (b"q" * 64), f"non-numeric token b'{'q' * 64}' for height (line 1, byte 5)"),
+    (b"P2 %s 1 255\n" % (b"0" * 64 + b"2"), "width token is longer than 64 bytes (line 1, byte 3)"),
+    (b"P2 2 1\n%s\n" % (b"9" * 65), "maxval token is longer than 64 bytes (line 2, byte 7)"),
+    (b"P2 2 %s 255\n" % (b"q" * 65), "height token is longer than 64 bytes (line 1, byte 5)"),
+], ids=["64-zeros", "20-digits", "64-letters", "65-digits", "65-digit-maxval", "65-letters"])
+def test_header_number_over_64_bytes_is_named_too_long(tmp_path, header, outcome):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(header + b"5 6\n")
+    if isinstance(outcome, str):
+        with pytest.raises(ImageParseError) as err:
+            read_image(path)
+        assert str(err.value) == outcome
+    else:
+        assert read_image(path).pixels.tolist() == outcome
 
 
 def _read_from_fifo(tmp_path, data, read):

@@ -111,7 +111,6 @@ class TestEstimates:
         est = estimate_intensities(img, 6, 3)
         assert est.a_hat == est.k_hat_low.mean
         assert est.b_hat == est.k_hat_high.mean
-        assert est.phi0 == 6 and est.phi1 == 3
         assert est.k_hat_low.side == 6 and est.k_hat_high.side == 3
 
     def test_one_integral_table_per_estimate_call(self, monkeypatch):
