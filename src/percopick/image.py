@@ -69,11 +69,15 @@ class WindowStats:
 
 def build_integral(img: Micrograph) -> np.ndarray:
     """A new read-only float64 table with table[r, c] = sum of img.pixels[:r, :c],
-    in one linear sweep. The first row and column are zero, so any axis-aligned
-    window sum is four table lookups."""
+    summed down the columns row by row, then along each row. The first row and
+    column are zero, so any axis-aligned window sum is four table lookups."""
     table = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
     inner = table[1:, 1:]  # both running sums go straight into the table, no temporaries
-    np.cumsum(img.pixels, axis=0, out=inner)
+    # cumsum(axis=0)'s additions in its order, a row at a time: numpy's column
+    # pass strides across rows and is about 3x slower on 1024² and larger frames
+    inner[0] = img.pixels[0]
+    for r in range(1, img.height):
+        np.add(inner[r - 1], img.pixels[r], out=inner[r])
     np.cumsum(inner, axis=1, out=inner)
     table.setflags(write=False)
     return table

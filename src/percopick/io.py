@@ -73,8 +73,8 @@ class _PgmScanner:
 
     def next_int(self, what: str, low: int, high: int) -> int:
         tok, start = self.next_token(what)
-        if len(tok) > _TOKEN_BYTES:  # int() of thousands of digits would be echoed whole
-            raise self.error(f"{what} token is longer than {_TOKEN_BYTES} bytes", start)
+        if message := _too_long(tok, what):  # also before int() reads thousands of digits
+            raise self.error(message, start)
         try:
             value = int(tok)
         except ValueError:
@@ -103,10 +103,12 @@ def _first_rejected(tokens: list[bytes], count: int, maxval: int) -> tuple[int, 
         return count, "trailing data after pixel values"
     for i, tok in enumerate(tokens):
         try:
-            if not 0 <= int(tok) <= maxval:
-                return i, f"pixel value {tok.decode('ascii', 'replace')} outside 0..{maxval}"
+            if 0 <= int(tok) <= maxval:
+                continue
         except ValueError:
-            return i, f"non-numeric token {tok!r} for pixel value"
+            return i, _too_long(tok, "pixel value") or f"non-numeric token {tok!r} for pixel value"
+        return i, (_too_long(tok, "pixel value")
+                   or f"pixel value {tok.decode('ascii', 'replace')} outside 0..{maxval}")
 
 
 def _sample_dtype(maxval: int) -> np.dtype:
@@ -116,6 +118,14 @@ def _sample_dtype(maxval: int) -> np.dtype:
 
 _HEADER_BYTES = 4096  # the first read of a PGM file, enough for any usual header
 _TOKEN_BYTES = 64  # a longer header number is rejected, a failed token not read to its end
+
+
+def _too_long(tok: bytes | str, what: str) -> str | None:
+    """The message for a token over _TOKEN_BYTES bytes, which is named instead
+    of echoed, or None: every message that quotes a token asks here first, so
+    none grows with its token."""
+    if len(tok if isinstance(tok, bytes) else tok.encode()) > _TOKEN_BYTES:
+        return f"{what} token is longer than {_TOKEN_BYTES} bytes"
 
 
 def _parse_header(sc: _PgmScanner) -> tuple[bytes, int, int, int]:
@@ -256,13 +266,11 @@ def _read_csv(data: bytes) -> Micrograph:
             try:
                 value = float(cell)
             except ValueError:
-                raise ImageParseError(
-                    f"non-numeric token {cell.strip()!r}", line=lineno
-                ) from None
-            if not np.isfinite(value):
-                raise ImageParseError(
-                    f"non-finite value {cell.strip()!r}", line=lineno
-                )
+                value = None
+            if value is None or not np.isfinite(value):
+                kind = "non-numeric token" if value is None else "non-finite value"
+                raise ImageParseError(_too_long(cell.strip(), "CSV value")
+                                      or f"{kind} {cell.strip()!r}", line=lineno)
             row.append(value)
         rows.append(row)
     if not rows:

@@ -33,14 +33,21 @@ def _check_side(table: np.ndarray, side: int) -> None:
         )
 
 
+_STRIP_ROWS = 64  # window rows per strip: the fastest of 16..256 on 600² and 1024² tables
+
+
 def _extremal_window(table: np.ndarray, side: int, take_max: bool) -> WindowStats:
     _check_side(table, side)
-    sums = window_sums(table, side)
-    # np.argmin/argmax return the first extremum in row-major order, which is
-    # exactly the lexicographic (row, col) tie-break.
-    flat = int(np.argmax(sums) if take_max else np.argmin(sums))
-    row, col = divmod(flat, sums.shape[1])
-    total = float(sums[row, col])
+    # np.argmin/argmax return the first extremum in row-major order: the
+    # lexicographic (row, col) tie-break. They run on each strip of window rows,
+    # so no frame-size array is made, then on the strips' extrema in row order.
+    pick = np.argmax if take_max else np.argmin
+    hits = []
+    for r in range(0, table.shape[0] - side, _STRIP_ROWS):
+        sums = window_sums(table[r : r + _STRIP_ROWS + side], side)
+        row, col = divmod(int(pick(sums)), sums.shape[1])
+        hits.append((float(sums[row, col]), r + row, col))
+    total, row, col = hits[int(pick([hit[0] for hit in hits]))]
     return WindowStats(row=row, col=col, side=side, sum=total, mean=total / (side * side))
 
 

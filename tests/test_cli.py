@@ -162,6 +162,24 @@ def test_overlong_header_number_gives_one_short_line(tmp_path, capsys):
     assert err.count("\n") == 1 and len(err) < 200, f"{len(err)} bytes: {err[:80]!r}"
 
 
+@pytest.mark.parametrize("name, data, message", [
+    ("pixel.pgm", b"P2 2 1 255\n5 " + b"7" * (1 << 20) + b"\n",
+     "pixel value token is longer than 64 bytes (line 2, byte 13)"),
+    ("digits.pgm", b"P2 2 1 255\n" + b"9" * 5000 + b" 5\n",  # more digits than int() reads
+     "pixel value token is longer than 64 bytes (line 2, byte 11)"),
+    ("cell.csv", b"1," + b"1" * (1 << 20) + b"\n",
+     "CSV value token is longer than 64 bytes (line 1)"),
+    ("word.csv", b"1," + b"x" * (1 << 20) + b"\n",
+     "CSV value token is longer than 64 bytes (line 1)"),
+], ids=["p2-1MiB-pixel", "p2-5000-digits", "csv-1MiB-number", "csv-1MiB-word"])
+def test_overlong_token_gives_one_short_line(tmp_path, capsys, name, data, message):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    assert main(["estimate", "--in", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"percopick: error: {message}\n", f"{len(err)} bytes: {err[:80]!r}"
+
+
 SCENE_DOC = {
     "n": 64, "a": 0.3, "b": 0.7, "phi0": 16, "phi1": 8,
     "shapes": [{"kind": "square", "size": 10, "row": 40, "col": 40}],

@@ -102,6 +102,19 @@ class TestIntegralImage:
                     brute_partial_sum(pixels, r, c), abs=1e-9
                 )
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1), (23, 61), (61, 23),
+                                       (40, 1024)])
+    def test_bit_identical_to_numpy_cumsums(self, shape):
+        # thirds plus uniform noise round in every addition, so a table that
+        # added in another order would differ in its last bits
+        rng = np.random.default_rng(sum(shape))
+        pixels = rng.integers(0, 4, shape) / 3 + rng.random(shape)
+        pixels[0, 0] = -0.0  # numpy's running sum keeps a leading negative zero
+        table = build_integral(Micrograph(pixels))
+        expected = np.zeros((shape[0] + 1, shape[1] + 1))
+        expected[1:, 1:] = np.cumsum(np.cumsum(pixels, axis=0), axis=1)
+        assert table.tobytes() == expected.tobytes()
+
 
 class TestWindowSum:
     def test_full_window(self):

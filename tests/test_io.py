@@ -891,6 +891,38 @@ def test_header_number_over_64_bytes_is_named_too_long(tmp_path, header, outcome
         assert read_image(path).pixels.tolist() == outcome
 
 
+PIXEL_TOO_LONG = "pixel value token is longer than 64 bytes (line 2, byte {})"
+CELL_TOO_LONG = "CSV value token is longer than 64 bytes (line 1)"
+
+
+@pytest.mark.parametrize("name, data, outcome", [
+    ("a.pgm", b"P2 2 1 255\n%s 5\n" % (b"0" * 63 + b"7"), [[7.0, 5.0]]),  # not rejected
+    ("b.pgm", b"P2 2 1 255\n%s 5\n" % (b"9" * 64),
+     f"pixel value {'9' * 64} outside 0..255 (line 2, byte 11)"),
+    ("c.pgm", b"P2 2 1 255\n5 %s\n" % (b"q" * 64),
+     f"non-numeric token b'{'q' * 64}' for pixel value (line 2, byte 13)"),
+    ("d.pgm", b"P2 2 1 255\n%s 5\n" % (b"9" * 65), PIXEL_TOO_LONG.format(11)),
+    ("e.pgm", b"P2 2 1 255\n5 %s\n" % (b"q" * 65), PIXEL_TOO_LONG.format(13)),
+    ("f.pgm", b"P2 2 1 255\nx %s\n" % (b"q" * 65),
+     "non-numeric token b'x' for pixel value (line 2, byte 11)"),
+    ("g.csv", b"1,%s\n" % (b"9" * 300), [[1.0, float("9" * 300)]]),  # not rejected
+    ("h.csv", b"1, %s \n" % (b"q" * 64), f"non-numeric token '{'q' * 64}' (line 1)"),
+    ("i.csv", b"1,%s\n" % (b"q" * 65), CELL_TOO_LONG),
+    ("j.csv", b"1,%s\n" % ("\u00e9" * 33).encode(), CELL_TOO_LONG),  # 33 characters, 66 bytes
+], ids=["p2-64-zeros", "p2-64-digits", "p2-64-letters", "p2-65-digits", "p2-65-letters",
+        "p2-earlier-short-first", "csv-300-digits", "csv-64-letters", "csv-65-letters",
+        "csv-66-utf8"])
+def test_rejected_token_over_64_bytes_is_named_too_long(tmp_path, name, data, outcome):
+    path = tmp_path / name
+    path.write_bytes(data)
+    if isinstance(outcome, str):
+        with pytest.raises(ImageParseError) as err:
+            read_image(path)
+        assert str(err.value) == outcome
+    else:
+        assert read_image(path).pixels.tolist() == outcome
+
+
 def _read_from_fifo(tmp_path, data, read):
     """read(path) of a named pipe that a writer thread feeds with data."""
     fifo = tmp_path / "pipe.pgm"
@@ -1027,14 +1059,9 @@ ORACLE_SEEDS = [
 ]
 
 
-@settings(max_examples=400, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(seed=st.integers(0, len(ORACLE_SEEDS) - 1),
-       edits=st.lists(st.tuples(st.sampled_from("rid"), st.integers(0, 10**6),
-                                st.binary(min_size=1, max_size=8)), min_size=1, max_size=3),
-       strip=st.sampled_from([1, 3, 128]), first_read=st.sampled_from([1, 5, 4096]))
-def test_mutated_files_read_as_the_whole_buffer_reader_reads_them(tmp_path, monkeypatch, seed,
-                                                                  edits, strip, first_read):
+def _reads_as_the_whole_buffer_reader(tmp_path, monkeypatch, seed, edits, strip, first_read):
+    """ORACLE_SEEDS[seed] with the edits made reads as _whole_buffer_samples
+    and _whole_buffer_binary read it, or fails with the same error."""
     from percopick import read_binary_image
 
     # strips and first reads that end within the file, as they do for large files
@@ -1060,3 +1087,29 @@ def test_mutated_files_read_as_the_whole_buffer_reader_reads_them(tmp_path, monk
     assert (_shape_and_bytes_or_error(
                 lambda: Micrograph(read_binary_image(path).bits.astype(np.float64)))
             == _shape_and_bytes_or_error(lambda: _whole_buffer_binary(data)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, len(ORACLE_SEEDS) - 1),
+       edits=st.lists(st.tuples(st.sampled_from("rid"), st.integers(0, 10**6),
+                                st.binary(min_size=1, max_size=8)), min_size=1, max_size=3),
+       strip=st.sampled_from([1, 3, 128]), first_read=st.sampled_from([1, 5, 4096]))
+def test_mutated_files_read_as_the_whole_buffer_reader_reads_them(tmp_path, monkeypatch, seed,
+                                                                  edits, strip, first_read):
+    _reads_as_the_whole_buffer_reader(tmp_path, monkeypatch, seed, edits, strip, first_read)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, len(ORACLE_SEEDS) - 1),
+       edits=st.lists(st.tuples(st.sampled_from("ri"), st.integers(0, 10**6),
+                                st.builds(lambda run, n: run * n,
+                                          st.sampled_from([b"7", b"0", b"q", b"# ", b"\n"]),
+                                          st.integers(60, 5000))), min_size=1, max_size=2),
+       strip=st.sampled_from([1, 3, 128]), first_read=st.sampled_from([1, 5, 4096]))
+def test_long_tokens_read_as_the_whole_buffer_reader_reads_them(tmp_path, monkeypatch, seed,
+                                                                edits, strip, first_read):
+    # runs of 60 to 5,000 digits, letters, comment text or newlines: tokens and
+    # comments on both sides of 64 bytes, and past the first read
+    _reads_as_the_whole_buffer_reader(tmp_path, monkeypatch, seed, edits, strip, first_read)

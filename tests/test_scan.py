@@ -1,10 +1,16 @@
 """Scan-window estimators against exhaustive enumeration oracles."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percopick import (
     Micrograph,
+    WindowStats,
     build_integral,
     estimate_intensities,
     estimate_lower,
@@ -13,6 +19,7 @@ from percopick import (
     scan_min_window,
 )
 from percopick import scan
+from percopick.image import window_sums
 
 
 def exhaustive_extremum(pixels, side, take_max):
@@ -95,6 +102,60 @@ class TestScanWindows:
         win = scan_min_window(build_integral(Micrograph(pixels)), 5)
         pos, _ = exhaustive_extremum(pixels, 5, take_max=False)
         assert (win.row, win.col) == pos
+
+
+def whole_table_window(table, side, take_max):
+    """The window of one argmin/argmax over the window sums of the whole
+    table, with no strips: row-major order is the (row, col) tie-break."""
+    sums = window_sums(table, side)
+    row, col = divmod(int(np.argmax(sums) if take_max else np.argmin(sums)), sums.shape[1])
+    total = float(sums[row, col])
+    return WindowStats(row=row, col=col, side=side, sum=total, mean=total / (side * side))
+
+
+STRIPS = [1, 2, 3, scan._STRIP_ROWS]
+
+
+class TestStripScan:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(strip=st.sampled_from(STRIPS), height=st.integers(1, 150),
+           width=st.integers(1, 90), levels=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_strips_give_the_whole_table_window(self, strip, height, width, levels, seed,
+                                                data):
+        # quarters are exact in binary, so equal window sums are bit-equal and
+        # ties between windows of different strips really occur
+        pixels = np.random.default_rng(seed).integers(0, levels + 1, (height, width)) / 4
+        side = data.draw(st.integers(1, min(40, height, width)), label="side")
+        table = build_integral(Micrograph(pixels))
+        with mock.patch.object(scan, "_STRIP_ROWS", strip):
+            for take_max, scan_window in ((False, scan_min_window), (True, scan_max_window)):
+                got, expected = scan_window(table, side), whole_table_window(table, side, take_max)
+                assert got == expected and repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("strip", STRIPS)
+    def test_equal_extrema_in_two_strips_go_to_the_earlier(self, strip):
+        # the later extremum sits further left, so only the row decides
+        pixels = np.full((2 * scan._STRIP_ROWS + 5, 9), 0.5)
+        pixels[1, 7] = pixels[scan._STRIP_ROWS + 3, 2] = 0.0
+        pixels[0, 6] = pixels[2 * scan._STRIP_ROWS + 1, 1] = 1.0
+        table = build_integral(Micrograph(pixels))
+        with mock.patch.object(scan, "_STRIP_ROWS", strip):
+            low, high = scan_min_window(table, 1), scan_max_window(table, 1)
+        assert (low.row, low.col, low.sum) == (1, 7, 0.0)
+        assert (high.row, high.col, high.sum) == (0, 6, 1.0)
+
+    def test_scan_makes_no_frame_size_array(self):
+        table = build_integral(Micrograph(np.random.default_rng(16).random((1024, 1024))))
+        tracemalloc.start()
+        try:
+            win = scan_min_window(table, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert win == whole_table_window(table, 16, take_max=False)
+        # 1.1 MiB in strips; the window sums of the whole table took 7.9 MiB
+        assert peak < 3 * 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
 class TestEstimates:
