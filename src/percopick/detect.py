@@ -60,7 +60,6 @@ class DetectionReport:
     clusters_total: int
     decision: Decision
     params: DetectParams
-    image_dims: tuple[int, int]  # (width, height) after preprocessing
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +130,12 @@ def run_detection_artifacts(img: Micrograph, params: DetectParams, *,
     estimates = estimate_intensities(pre, params.phi0, params.phi1)
     theta = compute_threshold(estimates.a_hat, estimates.b_hat)
     binary = binarize(pre, theta)
+    del pre  # every later step reads the thresholded picture alone
     clusters = black_clusters(binary)
     kept = filter_clusters(clusters, params.min_cluster_pixels)
     decision = Decision.PARTICLES_FOUND if kept else Decision.NO_PARTICLES
     report = DetectionReport(estimates=estimates, theta=theta, clusters_kept=kept,
-                             clusters_total=len(clusters), decision=decision, params=params,
-                             image_dims=(pre.width, pre.height))
+                             clusters_total=len(clusters), decision=decision, params=params)
     return DetectionArtifacts(report=report, binary=binary)
 
 
@@ -189,7 +188,7 @@ def report_to_dict(report: DetectionReport) -> dict:
         "clusters_total": report.clusters_total,
         "decision": report.decision.value,
         "params": asdict(report.params),  # field order is the key order
-        "dims": list(report.image_dims),
+        "dims": list(report.clusters_kept.labels.shape[::-1]),  # (width, height)
     }
 
 

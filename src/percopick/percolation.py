@@ -40,14 +40,6 @@ class BinaryImage:
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
 
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
 
 def _adopt_bits(bits: np.ndarray) -> BinaryImage:
     """Wrap a bool array just computed and held by no one else, without a copy."""

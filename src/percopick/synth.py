@@ -382,6 +382,8 @@ def window_selection_bound(
     """
     s1 = [float(v) for v in s1_list]
     excess = [float(v) for v in excess_list]
+    if not s1:
+        raise ValueError("s1_list must not be empty")
     if len(s1) != len(excess):
         raise ValueError(f"list lengths differ: {len(s1)} vs {len(excess)}")
     if not all(0 <= v < math.inf for v in s1 + excess):
@@ -553,7 +555,6 @@ class PhaseRow:
 
 @dataclass(frozen=True)
 class PhaseTable:
-    n: int
     rows: tuple[PhaseRow, ...]
 
     def to_csv(self) -> str:
@@ -583,4 +584,4 @@ def percolation_phase(n: int, p_values, trials: int, seed: int) -> PhaseTable:
     if not p_values:
         raise ValueError("p_values must not be empty")
     results = _run_trials(partial(_phase_trial, n, p_values, seed), trials, 1)
-    return PhaseTable(n=n, rows=tuple(row for per_p in zip(*results) for row in per_p))
+    return PhaseTable(rows=tuple(row for per_p in zip(*results) for row in per_p))

@@ -81,14 +81,32 @@ def test_detect_binary_outputs(two_level_pgm, tmp_path):
     assert read_image(filtered).pixels.sum() == 400
 
 
+def test_detect_non_square_dims_are_width_then_height(tmp_path):
+    pixels = np.zeros((96, 160))  # 96 rows, 160 columns
+    pixels[30:60, 100:130] = 255.0
+    path, report = tmp_path / "wide.pgm", tmp_path / "r.json"
+    write_image(Micrograph(pixels), path, maxval=255)
+    binary, filtered = tmp_path / "binary.pgm", tmp_path / "filtered.pgm"
+    assert main(["detect", "--in", str(path), "--out", str(report),
+                 "--binary-out", str(binary), "--filtered-out", str(filtered),
+                 *DETECT_FLAGS]) == 0
+    assert json.loads(report.read_text())["dims"] == [160, 96]
+    for out in (binary, filtered):
+        assert out.read_bytes().startswith(b"P5\n160 96\n1\n")
+    assert read_image(filtered).pixels[30:60, 100:130].all()
+
+
 @pytest.mark.parametrize("command, passes, bytes_per_pixel", [
-    # at 0 passes, detect measures 38.5 if the raw frame or a table outlives its
-    # last reader, and estimate 32.2 if the raw frame outlives preprocess
-    ("detect", ["--downsample", "0"], 26),
+    # at 0 passes both measure 18.0: detect 22.5 if the preprocessed frame
+    # outlives binarize, 38.5 if the raw frame or a table outlives its last
+    # reader, and estimate 32.2 if the raw frame outlives preprocess
+    ("detect", ["--downsample", "0"], 20),
+    ("detect", ["--downsample", "1"], 5.6),  # 5.5; 5.8 with the frame kept
     ("detect", [], 2.7),  # the default two passes: no rise
-    ("estimate", ["--downsample", "0"], 26),
+    ("estimate", ["--downsample", "0"], 20),
     ("estimate", [], 2.7),
-], ids=["full-resolution", "default", "estimate-full-resolution", "estimate-default"])
+], ids=["full-resolution", "one-pass", "default", "estimate-full-resolution",
+        "estimate-default"])
 def test_detect_traced_peak_per_source_pixel(tmp_path, capsys, command, passes,
                                              bytes_per_pixel):
     # a seeded 640x640 16-bit frame: uniform noise, particles in the lower half
@@ -226,7 +244,9 @@ def test_malformed_scene_exits_1_with_one_line(doc, named, tmp_path, capsys):
 @pytest.mark.parametrize("argv,named", [
     (["percolation-phase", "--n", "16", "--p", ""], "p_values must not be empty"),
     (["mc-consistency", "--scene", "{scene}", "--phi0-grid", ""], "phi0_grid must not be empty"),
-], ids=["phase_no_p", "consistency_no_phi0"])
+    (["bound", "--s1", "", "--excess", "", "--contrast", "1", "--sigma", "1", "--bound-m", "1"],
+     "s1_list must not be empty"),
+], ids=["phase_no_p", "consistency_no_phi0", "bound_no_s1"])
 def test_empty_value_list_exits_1_with_one_line(argv, named, scene_json, capsys):
     code = main([arg.format(scene=scene_json) for arg in argv])
     captured = capsys.readouterr()
@@ -290,6 +310,10 @@ def test_bound_invalid_inputs_exit_1(capsys):
     assert main(["bound", "--s1", "3,4", "--excess", "1,2",
                  "--contrast", "inf", "--sigma", "1", "--bound-m", "1"]) == 1
     assert capsys.readouterr().err.endswith("b_minus_a must be finite and > 0, got inf\n")
+    assert main(["bound", "--s1", "1,x", "--excess", "1",
+                 "--contrast", "1", "--sigma", "1", "--bound-m", "1"]) == 1
+    assert capsys.readouterr().err == ("percopick: error: argument --s1: "
+                                       "expected comma-separated integers, got '1,x'\n")
 
 
 def test_synth_csv_and_truth(scene_json, tmp_path):
@@ -342,6 +366,14 @@ def test_synth_pgm_scaled(scene_json, tmp_path):
     assert code == 0
     img = read_image(out)
     assert img.pixels.max() <= 65535
+
+
+def test_synth_pgm_maxval_out_of_range_exits_1(scene_json, tmp_path, capsys):
+    out = tmp_path / "scene.pgm"
+    assert main(["synth", "--scene", str(scene_json), "--out", str(out),
+                 "--pgm-maxval", "0"]) == 1
+    assert capsys.readouterr().err == "percopick: error: maxval must be in 1..65535, got 0\n"
+    assert not out.exists()
 
 
 def test_synth_out_suffix_follows_io(scene_json, tmp_path, capsys):

@@ -19,6 +19,7 @@ from percopick import (
     match_clusters,
     match_detections,
     preprocess,
+    report_to_dict,
     report_to_json,
     run_detection,
     run_detection_artifacts,
@@ -99,7 +100,7 @@ class TestRunDetection:
         assert report.estimates.a_hat == 0.0
         assert report.estimates.b_hat == 1.0
         assert report.theta == 0.5
-        assert report.image_dims == (128, 128)
+        assert report_to_dict(report)["dims"] == [128, 128]
 
     def test_report_theta_is_exact_midpoint(self):
         rng = np.random.default_rng(15)
@@ -126,7 +127,7 @@ class TestRunDetection:
             phi0=32, phi1=8, min_cluster_pixels=30, downsample_passes=1, normalize=True
         )
         report = run_detection(img, params)
-        assert report.image_dims == (128, 128)
+        assert report_to_dict(report)["dims"] == [128, 128]
         assert report.estimates.b_hat == 1.0  # normalized peak
         assert report.decision is Decision.PARTICLES_FOUND
         assert report.clusters_kept[0].pixel_count == 400  # 40x40 halved to 20x20

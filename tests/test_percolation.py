@@ -99,6 +99,11 @@ class TestBinaryImage:
         assert BinaryImage(field.bits).bits is field.bits
         assert binarize(Micrograph([[0.1, 0.9]]), 0.5).bits.base is None  # adopted as is
 
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (3, 0), ()])
+    def test_not_a_non_empty_grid_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty 2D grid"):
+            BinaryImage(np.zeros(shape, dtype=bool))
+
     def test_bits_read_only(self):
         with pytest.raises(ValueError):
             binarize(Micrograph([[0.1, 0.9]]), 0.5).bits[0, 0] = True
@@ -154,6 +159,9 @@ class TestTriNeighbors:
 class TestBlackClusters:
     def test_all_white_empty(self):
         assert black_clusters(BinaryImage(np.zeros((5, 5), dtype=bool))) == []
+
+    def test_not_equal_to_a_non_sequence(self):
+        assert black_clusters(BinaryImage(np.ones((2, 2), dtype=bool))) != 5
 
     def test_single_pixel(self):
         bits = np.zeros((4, 4), dtype=bool)
@@ -351,3 +359,7 @@ class TestBernoulliField:
             bernoulli_field(4, 4, 1.5, 0)
         with pytest.raises(ValueError):
             bernoulli_field(4, 4, -0.1, 0)
+
+    def test_empty_field_rejected(self):
+        with pytest.raises(ValueError, match="at least 1x1, got 0x0"):
+            bernoulli_field(0, 0, 0.5, 0)

@@ -150,8 +150,12 @@ class TestShapes:
             l_shape_mask(4, 4)
         with pytest.raises(ValueError):
             annulus_gap_mask(5, 5, 1)
+        with pytest.raises(ValueError, match="gap_half_width must be >= 1, got 0"):
+            annulus_gap_mask(12, 4, gap_half_width=0)
         with pytest.raises(ValueError):
             disc_mask(0)
+        with pytest.raises(ValueError, match="square side must be >= 1, got 0"):
+            square_mask(0)
 
     def test_place_shape_bounds(self):
         with pytest.raises(ValueError):
@@ -244,6 +248,16 @@ class TestSceneSpec:
         for corner in [(0, c) for c in range(14)]:
             with pytest.raises(ValueError, match="intersects a particle"):
                 SceneSpec(noise_square=corner, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=0), "scene side must be >= 1, got 0"),
+        (dict(min_particle_square=0), "window sides must be >= 1"),
+    ], ids=["empty_frame", "no_particle_square"])
+    def test_non_positive_sides_rejected(self, kwargs, message):
+        full = dict(n=16, a=0.0, b=1.0, particles=(), noise_square=(0, 0),
+                    noise_square_side=8, min_particle_square=2)
+        with pytest.raises(ValueError, match=message):
+            SceneSpec(**{**full, **kwargs})
 
     def test_noise_square_outside_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -519,6 +533,7 @@ class TestWindowSelectionBound:
             dict(s1_list=[1], excess_list=[1], b_minus_a=math.inf),
             dict(s1_list=[1], excess_list=[1], sigma=math.inf),
             dict(s1_list=[1], excess_list=[1], bound_m=math.inf),
+            dict(s1_list=[], excess_list=[]),
         ],
     )
     def test_invalid_inputs(self, kwargs):
