@@ -88,7 +88,8 @@ def _flag_parents() -> tuple[argparse.ArgumentParser, ...]:
     mc.add_argument("--scene", required=True, help="scene description (JSON)")
     mc.add_argument("--trials", type=int, default=100)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    mc.add_argument("--jobs", type=int, default=1,
+                    help="processes to run trials in, counting this one")
     mc.add_argument("--out", dest="output", default=None, help="CSV path (default: stdout)")
     return image_in, pipeline, mc
 

@@ -10,8 +10,9 @@ corner when noise_square is None).
 
 Monte Carlo trials derive per-trial seeds from (seed, trial_index), so
 results do not depend on scheduling and may be computed in parallel: with
-jobs > 1, each of at most min(jobs, trials) worker processes runs one
-contiguous range of trials, and the scene is pickled once per range.
+jobs > 1 the trials are cut into contiguous ranges of ceil(trials / workers),
+workers = min(jobs, trials); the caller runs the first range and one child
+process runs each other range, and every child ends before the call returns.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from __future__ import annotations
 import abc
 import json
 import math
+import pickle
+import signal
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from functools import partial
+from multiprocessing import Pipe, Process
 
 import numpy as np
 from scipy import ndimage
@@ -436,17 +439,62 @@ def _consistency_trial(spec, noise, phi0_grid, seed, trial):
     return errs, abs(naive_mean(img) - spec.a)
 
 
+def _send_range(trial, start, stop, conn):
+    """In a child process: send (True, [trial(t) for t in range(start, stop)]), or
+    (False, the exception the range raised) over conn."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's, which stops us
+    try:
+        reply = (True, [trial(t) for t in range(start, stop)])
+    except Exception as exc:
+        try:  # an exception the caller could not unpickle would hide this one
+            pickle.loads(pickle.dumps(exc))
+            reply = (False, exc)
+        except Exception as why:
+            reply = (False, RuntimeError(f"{type(exc).__name__}: {exc} "
+                                         f"(cannot be sent back: {why!r})"))
+    conn.send(reply)
+
+
 def _run_trials(trial, trials: int, jobs: int) -> list:
-    """[trial(t) for t in range(trials)]; each worker process runs one contiguous range."""
+    """[trial(t) for t in range(trials)] in contiguous ranges of ceil(trials / workers)
+    trials, workers = min(jobs, trials). The caller runs the first range; each other
+    range runs in one child process, which sends its results back over a pipe. A
+    failure raises the exception of the lowest failing range, after every child has
+    been stopped."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, trials)
-    if workers <= 1:
-        return [trial(t) for t in range(trials)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial, range(trials), chunksize=-(-trials // workers)))
+    size = -(-trials // min(jobs, trials))
+    children = []
+    try:
+        for start in range(size, trials, size):
+            recv_end, send_end = Pipe(duplex=False)
+            proc = Process(target=_send_range, daemon=True,
+                           args=(trial, start, min(start + size, trials), send_end))
+            proc.start()
+            children.append((proc, recv_end))
+            send_end.close()  # so a child that dies leaves the pipe at EOF
+        results = [trial(t) for t in range(size)]
+        for proc, recv_end in children:  # read before join: a reply can fill the pipe
+            try:
+                ok, reply = recv_end.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a trial process exited with code {proc.exitcode} "
+                                   "before sending its results") from None
+            if not ok:
+                raise reply
+            results.extend(reply)
+        return results
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv_end in children:
+            proc.join()
+            recv_end.close()
 
 
 def mc_consistency(

@@ -464,3 +464,24 @@ def test_jobs_below_one_exits_1(command, jobs, scene_json, capsys):
     assert main([command, "--scene", str(scene_json), "--trials", "2",
                  "--jobs", jobs, *extra]) == 1
     assert capsys.readouterr().err == f"percopick: error: jobs must be >= 1, got {jobs}\n"
+
+
+def test_mc_detection_failures_read_the_same_for_any_jobs(tmp_path, capsys):
+    # a flat scene with no particles: every trial's estimates are degenerate
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"n": 128, "a": 0.3, "b": 0.7, "phi0": 32, "phi1": 8,
+                                "shapes": [], "noise": {"kind": "uniform", "half_width": 0}}))
+    errs = []
+    for jobs in ("1", "2", "3"):
+        assert main(["mc-detection", "--scene", str(flat), "--trials", "3", "--jobs", jobs,
+                     "--downsample", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        errs.append(captured.err)
+    assert errs[0].startswith("percopick: error: ") and errs[1] == errs[0] == errs[2]
+    # every trial fails the scan-window check, in the caller and in the child
+    assert main(["mc-detection", "--scene", str(flat), "--trials", "4", "--jobs", "2",
+                 "--downsample", "0", "--phi0", "256"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "smaller than the largest scan window" in err
+    assert "Traceback" not in err

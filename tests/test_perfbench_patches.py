@@ -1,8 +1,9 @@
 """The traced benchmark run swaps layer functions at module attributes; each
 one it names must still exist and still be called, or a refactor silently
-breaks `--trace 1`."""
+breaks `--trace 1`. The measured `mc_detection` operations run too."""
 
 import importlib
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -58,3 +59,15 @@ def test_consistency_counts_every_side_and_one_table_per_trial(perfbench, tmp_pa
         assert check(call()) is None
     assert tracer.counts[0]["scan.windows"] == sum((257 - s) ** 2 for s in (16, 32, 64)) == 145_955
     assert [name for name, *_ in tracer.spans].count("image.integral") == 1
+
+
+def test_mc_detection_operations_pass_their_checks_at_both_jobs(perfbench, tmp_path):
+    # the jobs=2 path that the gated ops_per_s times
+    _, workloads = perfbench
+    wl = workloads.McDetection(3, tmp_path, tiny=True)
+    wl.setup()
+    samples = wl.op(0) + wl.op(1)
+    assert [(s.mode, s.error) for s in samples] == [
+        ("serial", None), ("parallel", None), ("parallel", None), ("serial", None)]
+    assert wl.batch_csv([3, 0, 0], 3, 1) == wl.batch_csv([3, 0, 0], 3, 2)
+    assert multiprocessing.active_children() == []

@@ -1,11 +1,15 @@
 """Noise models, scene generation, shapes, the selection bound, and the
 Monte Carlo harnesses at quick desk scale."""
 
+import contextlib
 import json
 import math
 import multiprocessing
 import os
+import signal
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 
 from percopick import synth
 from percopick import (
+    DegenerateEstimatesError,
     DetectParams,
     DetectionStats,
     SceneSpec,
@@ -661,10 +666,10 @@ class TestMcDetection:
     @pytest.mark.parametrize("theta, particles", [(None, True), (0.5, True), (None, False)])
     def test_downsampling_with_truth_matching_fails_before_any_pool(
             self, monkeypatch, theta, particles):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+        def no_process(*args, **kwargs):
+            raise AssertionError("a trial process was made")
 
-        monkeypatch.setattr(synth, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(synth, "Process", no_process)
         spec = simple_scene(boxes=((70, 70, 20),) if particles else ())
         params = DetectParams(phi0=16, phi1=4, min_cluster_pixels=30,
                               downsample_passes=1, normalize=False)
@@ -680,67 +685,153 @@ class TestMcDetection:
         assert stats.n_particles == 0 and stats.any_false_fraction == 0.0
 
 
-class FakeExecutor:
-    """Stands in for ProcessPoolExecutor: records how it was asked to run, and
-    runs the trials in this process."""
+class FakeProcess:
+    """Stands in for multiprocessing.Process: records the trial range it was
+    given, and runs it in this process when started."""
 
     made = []
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.chunksize = None
-        FakeExecutor.made.append(self)
+    def __init__(self, target, args, daemon):
+        self.target, self.args, self.daemon = target, args, daemon
+        FakeProcess.made.append(self)
 
-    def __enter__(self):
-        return self
+    def start(self):
+        handler = signal.getsignal(signal.SIGINT)
+        try:
+            self.target(*self.args)  # which ignores Ctrl-C, as a child should
+        finally:
+            signal.signal(signal.SIGINT, handler)
 
-    def __exit__(self, *exc):
-        return False
+    def join(self, timeout=None):
+        pass
 
-    def map(self, fn, iterable, chunksize=1):
-        self.chunksize = chunksize
-        return map(fn, iterable)
+    def terminate(self):
+        pass
 
 
 def _pid(trial):
     return os.getpid()
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail a call that hangs instead of stalling the suite: SIGALRM raises
+    TimeoutError after `seconds`; then check the wall time the call took."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.monotonic() - start < seconds
+
+
+def _in_child(caller):
+    return os.getpid() != caller
+
+
+def _caller_fails_while_child_runs(caller, started, trial):
+    """The child marks `started` and sleeps; the caller waits for the mark, then raises."""
+    if _in_child(caller):
+        started.touch()
+        time.sleep(60)
+    for _ in range(1000):
+        if started.exists():
+            break
+        time.sleep(0.01)
+    raise ValueError("the caller's range failed")
+
+
+def _big(trial):
+    return bytes([trial]) * 200_000
+
+
+def _child_exits(caller, trial):
+    if _in_child(caller):
+        os._exit(3)
+    return trial
+
+
+def _ranges_fail(size, failing, trial):
+    """Range trial // size raises when it is in `failing`; the first failing range
+    is the slowest to fail, so its exception is not the first to arrive."""
+    r = trial // size
+    if r in failing:
+        if r == min(failing):
+            time.sleep(0.3)
+        raise ValueError(f"range {r} failed")
+    return trial
+
+
+class TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: loads calls TwoArgError(message)."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what} failed: {why}")
+
+
+def _child_raises(caller, exc, trial):
+    if _in_child(caller):
+        raise exc
+    return trial
+
+
+def _caller_interrupted(caller, exc_type, trial):
+    if _in_child(caller):
+        time.sleep(60)
+    raise exc_type()
+
+
 class TestRunTrials:
     @pytest.fixture
-    def fake_pool(self, monkeypatch):
-        FakeExecutor.made = []
-        monkeypatch.setattr(synth, "ProcessPoolExecutor", FakeExecutor)
-        return FakeExecutor.made
+    def fake_processes(self, monkeypatch):
+        FakeProcess.made = []
+        monkeypatch.setattr(synth, "Process", FakeProcess)
+        return FakeProcess.made
 
-    @pytest.mark.parametrize("jobs,trials,workers,chunksize",
+    @pytest.mark.parametrize("jobs,trials,workers,size",
                              [(64, 3, 3, 1), (2, 5, 2, 3), (2, 4, 2, 2), (3, 7, 3, 3)])
-    def test_one_contiguous_range_per_worker(self, fake_pool, jobs, trials, workers,
-                                             chunksize):
-        assert synth._run_trials(lambda t: t * t, trials, jobs) == [t * t for t in range(trials)]
-        assert [(p.max_workers, p.chunksize) for p in fake_pool] == [(workers, chunksize)]
+    def test_one_contiguous_range_per_worker(self, fake_processes, jobs, trials, workers, size):
+        ran = []
+        assert synth._run_trials(lambda t: ran.append(t) or t * t, trials, jobs) == [
+            t * t for t in range(trials)]
+        # one daemon process per range after the first, started before the
+        # caller runs the first range itself
+        assert [p.args[1:3] for p in fake_processes] == [
+            (start, min(start + size, trials)) for start in range(size, trials, size)]
+        assert len(fake_processes) == workers - 1
+        assert all(p.daemon for p in fake_processes)
+        assert ran == list(range(size, trials)) + list(range(size))
 
     @pytest.mark.parametrize("jobs,trials", [(1, 5), (4, 1)])
-    def test_one_worker_runs_in_process(self, fake_pool, jobs, trials):
+    def test_one_worker_runs_in_process(self, fake_processes, jobs, trials):
         assert synth._run_trials(lambda t: t, trials, jobs) == list(range(trials))
-        assert fake_pool == []
+        assert fake_processes == []
 
     @pytest.mark.parametrize("jobs", [0, -4])
-    def test_jobs_checked_before_any_work(self, fake_pool, jobs):
+    def test_jobs_checked_before_any_work(self, fake_processes, jobs):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             synth._run_trials(_pid, 5, jobs)
-        assert fake_pool == []
+        assert fake_processes == []
 
     @pytest.mark.parametrize("trials", [0, -1])
-    def test_trials_checked_before_any_work(self, fake_pool, trials):
+    def test_trials_checked_before_any_work(self, fake_processes, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             synth._run_trials(_pid, trials, 2)
-        assert fake_pool == []
+        assert fake_processes == []
 
     def test_each_range_runs_in_one_process(self):
-        pids = synth._run_trials(_pid, 6, 2)
-        assert os.getpid() not in pids
-        assert len(set(pids[:3])) == 1 and len(set(pids[3:])) == 1
+        # the caller runs the first range itself, one other process each later range
+        pids = synth._run_trials(_pid, 7, 3)
+        assert pids[:3] == [os.getpid()] * 3
+        assert len(set(pids[3:6])) == 1 and len(set(pids[6:])) == 1
+        assert len({os.getpid(), pids[3], pids[6]}) == 3
+        assert multiprocessing.active_children() == []
 
     def test_harnesses_check_trials(self):
         spec = simple_scene()
@@ -755,6 +846,53 @@ class TestRunTrials:
                               downsample_passes=0, normalize=False)
         with pytest.raises(ValueError, match="smaller than the largest scan window"):
             mc_detection(spec, UniformNoise(0.1), params, trials=4, seed=0, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_failure_stops_a_running_child(self, tmp_path):
+        trial = partial(_caller_fails_while_child_runs, os.getpid(), tmp_path / "started")
+        with deadline(20), pytest.raises(ValueError, match="the caller's range failed"):
+            synth._run_trials(trial, 2, 2)  # the child would sleep for 60 s
+        assert (tmp_path / "started").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_results_larger_than_a_pipe_buffer_come_back(self):
+        with deadline(20):
+            assert synth._run_trials(_big, 4, 2) == [_big(t) for t in range(4)]
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_exits_without_results_names_its_code(self):
+        with deadline(20), pytest.raises(RuntimeError, match="exited with code 3 "):
+            synth._run_trials(partial(_child_exits, os.getpid()), 4, 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing", [(1, 2), (0, 2), (0, 1)])
+    def test_first_failing_range_wins(self, failing):
+        with deadline(20), pytest.raises(ValueError) as info:
+            synth._run_trials(partial(_ranges_fail, 2, failing), 6, 3)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"range {min(failing)} failed"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exc, text", [
+        (ValueError(lambda: 0), r"ValueError: <function .*cannot be sent back"),
+        (TwoArgError("trial", "bad"), r"TwoArgError: trial failed: bad \(cannot be sent back"),
+    ], ids=["cannot_pickle", "cannot_unpickle"])
+    def test_child_exception_that_cannot_travel_still_returns(self, exc, text):
+        with deadline(20), pytest.raises(RuntimeError, match=text):
+            synth._run_trials(partial(_child_raises, os.getpid(), exc), 4, 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_in_caller_stops_every_child(self, exc_type):
+        # SystemExit is what the benchmark's SIGTERM handler raises
+        with deadline(20), pytest.raises(exc_type):
+            synth._run_trials(partial(_caller_interrupted, os.getpid(), exc_type), 6, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_child_failure_keeps_its_type(self):
+        with deadline(20), pytest.raises(DegenerateEstimatesError, match="^flat$"):
+            synth._run_trials(partial(_child_raises, os.getpid(),
+                                      DegenerateEstimatesError("flat")), 4, 2)
         assert multiprocessing.active_children() == []
 
 
