@@ -39,6 +39,7 @@ from .synth import (
     mc_consistency,
     mc_detection,
     percolation_phase,
+    scene_buffers,
     window_selection_bound,
 )
 
@@ -149,11 +150,17 @@ def _cmd_detect(args) -> int:
 
 def _cmd_synth(args) -> int:
     spec, noise = load_scene(args.scene)
-    img, truth = generate_scene(spec, noise, args.seed)
+    buffers = scene_buffers(spec)
+    img, truth = generate_scene(spec, noise, args.seed, buffers)
+    frame = buffers[0]
+    del buffers  # the masks: nothing reads them from here on
     if args.out.lower().endswith(".csv"):
         write_image(img, args.out)
     else:  # PGM, or a suffix write_image rejects before writing anything
-        write_image(_adopt(img.pixels * args.pgm_maxval), args.out, maxval=args.pgm_maxval)
+        del img  # nobody reads the frame unscaled, so it is scaled in place
+        frame.setflags(write=True)
+        frame *= args.pgm_maxval
+        write_image(_adopt(frame), args.out, maxval=args.pgm_maxval)
     if args.truth_out is not None:
         write_binary_image(_adopt_bits(truth > 0), args.truth_out)
     print(f"wrote {spec.n}x{spec.n} scene with {truth.max()} particle(s) to {args.out}")

@@ -1,10 +1,12 @@
 """Pixel-grid primitives: micrographs, integral tables, window sums.
 
-All pixel data is 64-bit float. Pixel arrays are read-only and every
-operation returns a fresh image. An image holds nothing but its pixels: its
-integral table is a plain read-only float64 array that build_integral makes
-on each call, so a caller builds it where the scans read it and drops it
-with them.
+All pixel data is 64-bit float. Pixel arrays are read-only, and every image
+operation returns a new image. An image holds nothing but its pixels: its
+integral table is a plain read-only float64 array that build_integral makes,
+or writes into a table the caller gives it, so a caller builds it where the
+scans read it and drops it with them. A caller that hands build_integral or
+window_sums an `out` array owns it, and no earlier result may still be read
+from it.
 """
 
 from __future__ import annotations
@@ -67,11 +69,24 @@ class WindowStats:
     mean: float
 
 
-def build_integral(img: Micrograph) -> np.ndarray:
-    """A new read-only float64 table with table[r, c] = sum of img.pixels[:r, :c],
+def build_integral(img: Micrograph, out: np.ndarray | None = None) -> np.ndarray:
+    """A read-only float64 table with table[r, c] = sum of img.pixels[:r, :c],
     summed down the columns row by row, then along each row. The first row and
-    column are zero, so any axis-aligned window sum is four table lookups."""
-    table = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
+    column are zero, so any axis-aligned window sum is four table lookups.
+
+    The table is new, or out, a float64 array of shape (height + 1, width + 1)
+    whose earlier contents are overwritten, write flag included."""
+    shape = (img.height + 1, img.width + 1)
+    if out is None:
+        table = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"integral table must be float64 of shape {shape}, "
+                         f"got {out.dtype} of shape {out.shape}")
+    else:
+        table = out
+        table.setflags(write=True)
+    table[0] = 0.0
+    table[1:, 0] = 0.0
     inner = table[1:, 1:]  # both running sums go straight into the table, no temporaries
     # cumsum(axis=0)'s additions in its order, a row at a time: numpy's column
     # pass strides across rows and is about 3x slower on 1024² and larger frames
@@ -83,11 +98,15 @@ def build_integral(img: Micrograph) -> np.ndarray:
     return table
 
 
-def window_sums(table: np.ndarray, side: int) -> np.ndarray:
+def window_sums(table: np.ndarray, side: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sums of every side x side window of a cumulative-sum table, indexed by
-    top-left corner: the one four-corner formula of the package."""
+    top-left corner, as ((A - B) - C) + D of its four corners: the one
+    four-corner formula of the package. The sums go into out when it is given."""
     t = table
-    return t[side:, side:] - t[:-side, side:] - t[side:, :-side] + t[:-side, :-side]
+    sums = np.subtract(t[side:, side:], t[:-side, side:], out=out)
+    sums -= t[side:, :-side]
+    sums += t[:-side, :-side]
+    return sums
 
 
 _STRIP_ROWS = 128  # rows per strip: output rows in downsample2x, source rows in downsample_rows

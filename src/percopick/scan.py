@@ -41,10 +41,14 @@ def _extremal_window(table: np.ndarray, side: int, take_max: bool) -> WindowStat
     # np.argmin/argmax return the first extremum in row-major order: the
     # lexicographic (row, col) tie-break. They run on each strip of window rows,
     # so no frame-size array is made, then on the strips' extrema in row order.
+    # Every strip's sums go into one buffer, made once per scan.
     pick = np.argmax if take_max else np.argmin
+    rows = table.shape[0] - side  # window rows
+    buffer = np.empty((min(rows, _STRIP_ROWS), table.shape[1] - side))
     hits = []
-    for r in range(0, table.shape[0] - side, _STRIP_ROWS):
-        sums = window_sums(table[r : r + _STRIP_ROWS + side], side)
+    for r in range(0, rows, _STRIP_ROWS):
+        strip = table[r : r + _STRIP_ROWS + side]
+        sums = window_sums(strip, side, out=buffer[: len(strip) - side])
         row, col = divmod(int(pick(sums)), sums.shape[1])
         hits.append((float(sums[row, col]), r + row, col))
     total, row, col = hits[int(pick([hit[0] for hit in hits]))]
@@ -63,10 +67,11 @@ def scan_max_window(table: np.ndarray, side: int) -> WindowStats:
     return _extremal_window(table, side, take_max=True)
 
 
-def estimate_lower(img: Micrograph, *phi0s: int) -> list[float]:
+def estimate_lower(img: Micrograph, *phi0s: int, table: np.ndarray | None = None) -> list[float]:
     """Background intensity estimates, one per window side: the mean of the
-    minimum-sum phi0 window, every side read from one integral table."""
-    table = build_integral(img)
+    minimum-sum phi0 window, every side read from one integral table. The
+    table is built into `table` when one is given (see build_integral)."""
+    table = build_integral(img) if table is None else build_integral(img, out=table)
     return [scan_min_window(table, phi0).mean for phi0 in phi0s]
 
 

@@ -13,6 +13,15 @@ results do not depend on scheduling and may be computed in parallel: with
 jobs > 1 the trials are cut into contiguous ranges of ceil(trials / workers),
 workers = min(jobs, trials); the caller runs the first range and one child
 process runs each other range, and every child ends before the call returns.
+
+Each Monte Carlo call makes its trial buffers once, the scene frame, the
+particle mask and its negation (scene_buffers) and, for mc_consistency, one
+integral table, and hands them to every trial; a forked child copies them on
+its first write. generate_scene turns the frame's write flag back on only just
+before it draws again into it. That is safe because the trial that wrapped
+the frame in a Micrograph has returned by then and holds it no more: a trial
+returns numbers, never the image, its table or anything that reads them.
+The buffers are freed when the call returns.
 """
 
 from __future__ import annotations
@@ -50,12 +59,14 @@ from .scan import estimate_lower, naive_mean
 class NoiseModel(abc.ABC):
     """Mean-zero i.i.d. noise, symmetric about 0 and bounded almost surely.
 
-    A subclass implements a seeded vectorized `sample` that returns a fresh
-    float64 array, which generate_scene adds the scene's levels into.
+    A subclass implements a seeded vectorized `sample` that fills `out`, a
+    writable C-contiguous float64 array of the given shape, or a new one when
+    out is None, and returns it; generate_scene adds the scene's levels into
+    it. The values depend only on the generator's state, not on out.
     """
 
     @abc.abstractmethod
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
         ...
 
 
@@ -68,9 +79,16 @@ class UniformNoise(NoiseModel):
     def __post_init__(self):
         if not (self.half_width >= 0 and math.isfinite(self.half_width)):
             raise ValueError(f"half_width must be finite and >= 0, got {self.half_width}")
+        if not math.isfinite(self.half_width - -self.half_width):
+            raise ValueError(f"half_width is too large: the draw width 2 * half_width "
+                             f"overflows, got {self.half_width}")
 
-    def sample(self, rng, shape):
-        return rng.uniform(-self.half_width, self.half_width, size=shape)
+    def sample(self, rng, shape, out=None):
+        # rng.uniform(low, high)'s low + (high - low) * r, in its order: the same bits
+        out = rng.random(out=np.empty(shape) if out is None else out)
+        out *= self.half_width - -self.half_width
+        out += -self.half_width
+        return out
 
 
 @dataclass(frozen=True)
@@ -90,18 +108,18 @@ class TruncatedGaussianNoise(NoiseModel):
         if not (self.bound > 0 and math.isfinite(self.bound)):
             raise ValueError(f"bound must be finite and > 0, got {self.bound}")
 
-    def sample(self, rng, shape):
-        n = int(np.prod(shape))
-        out = np.empty(n, dtype=np.float64)
+    def sample(self, rng, shape, out=None):
+        out = np.empty(shape) if out is None else out
+        flat = out.reshape(-1)  # a view: out is C-contiguous
         filled = 0
-        while filled < n:
-            need = n - filled
+        while filled < flat.size:
+            need = flat.size - filled
             draws = rng.normal(0.0, self.sigma_raw, size=int(need * 1.6) + 16)
             keep = draws[np.abs(draws) <= self.bound]
             take = min(keep.size, need)
-            out[filled : filled + take] = keep[:take]
+            flat[filled : filled + take] = keep[:take]
             filled += take
-        return out.reshape(shape)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +276,28 @@ class SceneSpec:
         object.__setattr__(self, "truth", truth)
 
 
-def generate_scene(spec: SceneSpec, noise: NoiseModel, seed) -> tuple[Micrograph, np.ndarray]:
+def scene_buffers(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What generate_scene draws with: an uninitialized float64 n x n frame,
+    the particle mask spec.truth > 0 and its negation."""
+    on = spec.truth > 0
+    return np.empty((spec.n, spec.n)), on, ~on
+
+
+def generate_scene(spec: SceneSpec, noise: NoiseModel, seed,
+                   buffers: tuple | None = None) -> tuple[Micrograph, np.ndarray]:
     """Render the two-level truth image plus i.i.d. noise; reproducible from seed.
 
     Returns the noisy micrograph and the scene's truth label image, spec.truth.
-    The levels are added into the freshly drawn noise in place.
+    The noise is drawn into the frame of buffers (scene_buffers(spec), new
+    ones when None), and the levels are added into it in place. The returned
+    micrograph shares that frame: a later draw into the same buffers
+    overwrites it, so the caller must be done with the micrograph by then.
     """
-    rng = np.random.default_rng(seed)
-    pixels = noise.sample(rng, (spec.n, spec.n))
-    on = spec.truth > 0
+    frame, on, off = scene_buffers(spec) if buffers is None else buffers
+    frame.setflags(write=True)
+    pixels = noise.sample(np.random.default_rng(seed), frame.shape, out=frame)
     np.add(pixels, spec.b, out=pixels, where=on)
-    np.add(pixels, spec.a, out=pixels, where=~on)
+    np.add(pixels, spec.a, out=pixels, where=off)
     return _adopt(pixels), spec.truth
 
 
@@ -362,6 +391,14 @@ def load_scene(path) -> tuple[SceneSpec, NoiseModel]:
 # Window-selection probability bound
 # ---------------------------------------------------------------------------
 
+def _squared(x: float) -> float:
+    """x ** 2, or inf where that overflows: a float power raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """Raw sum of per-window terms and the same sum clipped at 1."""
@@ -381,7 +418,8 @@ def window_selection_bound(
     of particle pixels in K and excess the number of pixels of K outside the
     noise-only square. A term with s1 = 0 is taken as exp(0) = 1 (the bound
     is vacuous for windows containing no particle pixels). This is a
-    diagnostic for hypothetical configurations, not an estimator.
+    diagnostic for hypothetical configurations, not an estimator. Inputs
+    that make C1, C2 or C3 overflow are a ValueError naming them.
     """
     s1 = [float(v) for v in s1_list]
     excess = [float(v) for v in excess_list]
@@ -394,9 +432,14 @@ def window_selection_bound(
     for name, value in (("b_minus_a", b_minus_a), ("sigma", sigma), ("bound_m", bound_m)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    c1 = 3.0 * b_minus_a ** 2
-    c2 = 12.0 * sigma ** 2
+    c1 = 3.0 * _squared(b_minus_a)
+    c2 = 12.0 * _squared(sigma)
     c3 = 4.0 * bound_m * b_minus_a
+    for coefficient, value, names in (("C1 = 3 (b-a)^2", c1, "b_minus_a"),
+                                      ("C2 = 12 sigma^2", c2, "sigma"),
+                                      ("C3 = 4 M (b-a)", c3, "bound_m * b_minus_a")):
+        if not math.isfinite(value):
+            raise ValueError(f"{names} is too large: {coefficient} overflows")
     total = sum(1.0 if s == 0.0 else math.exp(-c1 * s * s / (c2 * e + c3 * s))
                 for s, e in zip(s1, excess))
     return BoundResult(raw_sum=total, clipped=min(total, 1.0))
@@ -433,9 +476,9 @@ class ConsistencyTable:
                       self.naive_median_abs_err) for r in self.rows])
 
 
-def _consistency_trial(spec, noise, phi0_grid, seed, trial):
-    img, _ = generate_scene(spec, noise, [seed, trial])
-    errs = [abs(a_hat - spec.a) for a_hat in estimate_lower(img, *phi0_grid)]
+def _consistency_trial(spec, noise, phi0_grid, seed, buffers, table, trial):
+    img, _ = generate_scene(spec, noise, [seed, trial], buffers)
+    errs = [abs(a_hat - spec.a) for a_hat in estimate_lower(img, *phi0_grid, table=table)]
     return errs, abs(naive_mean(img) - spec.a)
 
 
@@ -510,7 +553,9 @@ def mc_consistency(
     phi0_grid = [int(p) for p in phi0_grid]
     if not phi0_grid:
         raise ValueError("phi0_grid must not be empty")
-    results = _run_trials(partial(_consistency_trial, spec, noise, phi0_grid, seed), trials, jobs)
+    table = np.empty((spec.n + 1, spec.n + 1))
+    results = _run_trials(partial(_consistency_trial, spec, noise, phi0_grid, seed,
+                                  scene_buffers(spec), table), trials, jobs)
     errs = np.array([r[0] for r in results])  # (trials, len(grid))
     naive = np.array([r[1] for r in results])
     rows = tuple(
@@ -544,8 +589,8 @@ class DetectionStats:
                       self.any_false_fraction, self.mean_false_clusters)])
 
 
-def _detection_trial(spec, noise, params, theta, pure_noise, seed, trial):
-    img, truth = generate_scene(spec, noise, [seed, trial])
+def _detection_trial(spec, noise, params, theta, pure_noise, seed, buffers, trial):
+    img, truth = generate_scene(spec, noise, [seed, trial], buffers)
     if theta is None:
         summary = match_detections(run_detection_artifacts(img, params).report, truth)
     else:
@@ -580,7 +625,7 @@ def mc_detection(
         raise ValueError(f"downsample_passes must be 0 to match clusters to the "
                          f"{spec.n}x{spec.n} truth, got {params.downsample_passes}")
     results = _run_trials(partial(_detection_trial, spec, noise, params, theta,
-                                  n_particles == 0, seed), trials, jobs)
+                                  n_particles == 0, seed, scene_buffers(spec)), trials, jobs)
     all_detected = np.array([r[0] for r in results], dtype=bool)
     false_counts = np.array([r[1] for r in results], dtype=np.int64)
     return DetectionStats(

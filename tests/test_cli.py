@@ -241,6 +241,60 @@ def test_malformed_scene_exits_1_with_one_line(doc, named, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["synth", "--out", "{tmp}/out.csv"],
+    ["mc-consistency", "--trials", "2", "--phi0-grid", "16"],
+], ids=["synth", "mc-consistency"])
+def test_uniform_draw_width_overflow_exits_1_with_one_line(command, tmp_path, capsys):
+    # 1e308 is finite, but the draw width 2 * half_width is not
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(dict(SCENE_DOC, noise={"kind": "uniform", "half_width": 1e308})))
+    argv = [command[0], "--scene", str(scene), *command[1:]]
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("percopick: error: half_width is too large: the draw width "
+                            "2 * half_width overflows, got 1e+308\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--contrast", "1e200", "--sigma", "0.1", "--bound-m", "0.2"],
+     "b_minus_a is too large: C1 = 3 (b-a)^2 overflows"),
+    (["--contrast", "1", "--sigma", "1e200", "--bound-m", "0.2"],
+     "sigma is too large: C2 = 12 sigma^2 overflows"),
+    (["--contrast", "1", "--sigma", "0.1", "--bound-m", "1e308"],
+     "bound_m * b_minus_a is too large: C3 = 4 M (b-a) overflows"),
+], ids=["contrast", "sigma", "bound_m"])
+def test_bound_coefficient_overflow_exits_1_with_one_line(flags, named, capsys):
+    code = main(["bound", "--s1", "4", "--excess", "1", *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"percopick: error: {named}\n"
+
+
+def test_synth_pgm_traced_peak_per_pixel(tmp_path, capsys):
+    # 15.2 bytes per pixel, set while the scene is drawn: the frame (8), the
+    # truth labels (4), the particle mask and its negation (2) and the
+    # finiteness check (1). Scaling a copy of the frame for the PGM costs 8
+    # more (22.3); keeping the masks through the write, 1 more.
+    n = 600
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "n": n, "a": 0.3, "b": 0.7, "phi0": 64, "phi1": 16,
+        "shapes": [{"kind": "disc", "size": 50, "row": 300, "col": 300}],
+        "noise": {"kind": "uniform", "half_width": 0.2}}))
+    argv = ["synth", "--scene", str(scene), "--out", str(tmp_path / "x.pgm")]
+    assert main(argv) == 0  # the first run pays for one-time allocations
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * n, f"{peak / (n * n):.2f} bytes per pixel"
+
+
 @pytest.mark.parametrize("argv,named", [
     (["percolation-phase", "--n", "16", "--p", ""], "p_values must not be empty"),
     (["mc-consistency", "--scene", "{scene}", "--phi0-grid", ""], "phi0_grid must not be empty"),

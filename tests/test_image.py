@@ -115,6 +115,22 @@ class TestIntegralImage:
         expected[1:, 1:] = np.cumsum(np.cumsum(pixels, axis=0), axis=1)
         assert table.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("held", ["another table", "nan"])
+    def test_builds_into_a_given_table(self, held):
+        rng = np.random.default_rng(61)
+        first, second = (Micrograph(rng.integers(0, 4, (23, 61)) / 3 + rng.random((23, 61)))
+                         for _ in range(2))
+        table = build_integral(first) if held == "another table" else np.full((24, 62), np.nan)
+        out = build_integral(second, out=table)
+        assert out is table and not out.flags.writeable
+        assert out.tobytes() == build_integral(second).tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty((4, 4)), np.empty((4, 5), np.float32)],
+                             ids=["shape", "dtype"])
+    def test_given_table_must_fit(self, out):
+        with pytest.raises(ValueError, match=r"integral table must be float64 of shape \(4, 5\)"):
+            build_integral(Micrograph(np.ones((3, 4))), out=out)
+
 
 class TestWindowSum:
     def test_full_window(self):
@@ -124,6 +140,15 @@ class TestWindowSum:
     def test_single_pixel_window(self):
         ii = build_integral(Micrograph([[1, 2], [3, 4]]))
         assert window_sums(ii, 1)[1, 1] == 4
+
+    @pytest.mark.parametrize("side", [1, 4, 20])
+    def test_sums_into_a_given_array_in_the_four_corner_order(self, side):
+        rng = np.random.default_rng(side)
+        t = build_integral(Micrograph(rng.integers(0, 4, (20, 30)) / 3 + rng.random((20, 30))))
+        out = np.full((21 - side, 31 - side), np.nan)
+        assert window_sums(t, side, out=out) is out
+        expected = t[side:, side:] - t[:-side, side:] - t[side:, :-side] + t[:-side, :-side]
+        assert out.tobytes() == window_sums(t, side).tobytes() == expected.tobytes()
 
     def test_all_side3_windows_match_direct_summation(self):
         rng = np.random.default_rng(88)

@@ -61,6 +61,20 @@ def test_consistency_counts_every_side_and_one_table_per_trial(perfbench, tmp_pa
     assert [name for name, *_ in tracer.spans].count("image.integral") == 1
 
 
+def test_consistency_trials_sharing_a_table_each_count_its_build(perfbench, tmp_path):
+    # trials of one batch build into one table: each build is still a span,
+    # and the table, passed by keyword, is not counted as a window side
+    tracing, workloads = perfbench
+    wl = workloads.WORKLOADS["consistency"](3, tmp_path, tiny=True)
+    wl.setup()
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    with tracer.patched():
+        assert wl.check(wl.batch_csv([3, 2, 0], 2, 1)) is None
+    assert tracer.counts[0]["scan.windows"] == 2 * 145_955
+    assert [name for name, *_ in tracer.spans].count("image.integral") == 2
+
+
 def test_mc_detection_operations_pass_their_checks_at_both_jobs(perfbench, tmp_path):
     # the jobs=2 path that the gated ops_per_s times
     _, workloads = perfbench

@@ -9,6 +9,7 @@ import os
 import signal
 import time
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percopick import synth
+from percopick import scan, synth
 from percopick import (
     DegenerateEstimatesError,
     DetectParams,
@@ -95,10 +96,41 @@ class TestNoiseModels:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             UniformNoise(half_width=-0.1)
+        with pytest.raises(ValueError, match="^half_width is too large: the draw width"):
+            UniformNoise(half_width=1e308)  # finite, but 2 * half_width is not
         with pytest.raises(ValueError):
             TruncatedGaussianNoise(sigma_raw=0.0, bound=1.0)
         with pytest.raises(ValueError):
             TruncatedGaussianNoise(sigma_raw=1.0, bound=0.0)
+
+
+UNIFORM_WIDTHS = st.sampled_from([0.0, 0.25, 1e-310, 8.98e307]) | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(noise=st.builds(UniformNoise, UNIFORM_WIDTHS)
+       | st.builds(TruncatedGaussianNoise, st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+       n=st.integers(1, 40), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2))
+def test_draws_into_reused_buffers_equal_fresh_draws(noise, n, seeds):
+    side = max(1, n // 3)
+    particles = [place_shape(n, square_mask(side), n - side, n - side)] if n > 1 else []
+    spec = SceneSpec(n=n, a=0.3, b=0.7, particles=particles, noise_square=(0, 0),
+                     noise_square_side=1, min_particle_square=1)
+    buffers = synth.scene_buffers(spec)
+    out = np.full((n, n), np.nan)
+    for seed in seeds:  # two draws in a row into the same buffers
+        if isinstance(noise, UniformNoise):  # numpy's own uniform draw is the oracle
+            want = np.random.default_rng(seed).uniform(-noise.half_width, noise.half_width,
+                                                       size=(n, n))
+        else:
+            want = noise.sample(np.random.default_rng(seed), (n, n))
+        assert noise.sample(np.random.default_rng(seed), (n, n), out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert noise.sample(np.random.default_rng(seed), (n, n)).tobytes() == want.tobytes()
+        img, _ = generate_scene(spec, noise, seed, buffers)
+        assert img.pixels is buffers[0] and not img.pixels.flags.writeable
+        assert img.pixels.tobytes() == generate_scene(spec, noise, seed)[0].pixels.tobytes()
+        del img
 
 
 class TestShapes:
@@ -518,6 +550,18 @@ class TestWindowSelectionBound:
         assert window_selection_bound([50], [200], 1.0, 1.0, 1.0).raw_sum >= base
         assert window_selection_bound([50], [100], 1.0, 2.0, 1.0).raw_sum >= base
 
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(b_minus_a=1e200), "b_minus_a is too large: C1 = 3 (b-a)^2 overflows"),
+        (dict(sigma=1e200), "sigma is too large: C2 = 12 sigma^2 overflows"),
+        (dict(bound_m=1e308), "bound_m * b_minus_a is too large: C3 = 4 M (b-a) overflows"),
+        (dict(b_minus_a=1e10, bound_m=1e300), "bound_m * b_minus_a is too large"),
+    ], ids=["C1", "C2", "C3", "C3-only"])
+    def test_overflowing_coefficient_names_its_input(self, kwargs, named):
+        full = dict(s1_list=[4], excess_list=[1], b_minus_a=1.0, sigma=0.1, bound_m=0.2)
+        with pytest.raises(ValueError) as exc:
+            window_selection_bound(**dict(full, **kwargs))
+        assert str(exc.value).startswith(named)
+
     def test_sum_over_windows_and_clipping(self):
         result = window_selection_bound([0, 0, 100], [0, 50, 100], 1.0, 1.0, 1.0)
         assert result.raw_sum == pytest.approx(2.0 + math.exp(-18.75), rel=1e-12)
@@ -577,6 +621,32 @@ class TestMcConsistency:
         assert lines[0] == "phi0,trials,median_abs_err,q25_abs_err,q75_abs_err,naive_median_abs_err"
         assert len(lines) == 3
         assert lines[1].startswith("8,4,")
+
+    def test_trials_share_one_frame_and_one_table(self, monkeypatch):
+        frames, tables, images, alive = [], [], [], []
+        generate, build = synth.generate_scene, scan.build_integral
+
+        def recording_generate(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in images))  # before the draw
+            img, truth = generate(*args, **kwargs)
+            frames.append(img.pixels)  # held, so a fresh frame could not reuse the address
+            images.append(weakref.ref(img))
+            return img, truth
+
+        def recording_build(*args, **kwargs):
+            tables.append(build(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(synth, "generate_scene", recording_generate)
+        monkeypatch.setattr(scan, "build_integral", recording_build)
+        spec = simple_scene()
+        mc_consistency(spec, UniformNoise(0.2), [8, 16], trials=4, seed=3)
+        mc_detection(spec, UniformNoise(0.2), TestMcDetection.PARAMS, trials=3, seed=3)
+        assert len(frames) == len(tables) == 7  # a detect trial builds its own table
+        assert len({f.ctypes.data for f in frames[:4]}) == 1
+        assert len({t.ctypes.data for t in tables[:4]}) == 1
+        assert len({f.ctypes.data for f in frames[4:]}) == 1  # one frame per call
+        assert alive == [0] * 7
 
     def test_parallel_jobs_match_serial(self):
         spec = simple_scene()
