@@ -39,7 +39,6 @@ from .synth import (
     mc_consistency,
     mc_detection,
     percolation_phase,
-    scene_buffers,
     window_selection_bound,
 )
 
@@ -150,13 +149,11 @@ def _cmd_detect(args) -> int:
 
 def _cmd_synth(args) -> int:
     spec, noise = load_scene(args.scene)
-    buffers = scene_buffers(spec)
-    img, truth = generate_scene(spec, noise, args.seed, buffers)
-    frame = buffers[0]
-    del buffers  # the masks: nothing reads them from here on
+    img, truth = generate_scene(spec, noise, args.seed)
     if args.out.lower().endswith(".csv"):
         write_image(img, args.out)
     else:  # PGM, or a suffix write_image rejects before writing anything
+        frame = img.pixels
         del img  # nobody reads the frame unscaled, so it is scaled in place
         frame.setflags(write=True)
         frame *= args.pgm_maxval

@@ -1,19 +1,20 @@
 """Image file I/O: PGM (read P2 ASCII and P5 binary, write P5) and CSV float grids.
 
 PGM payloads are raw integer samples in [0, maxval]. Both PGM readers open the
-file through _pgm_rows: the header is parsed from a first read, which grows
-while a comment or a short token reaches its end, and a P5 payload's length is
-checked against the file's size before any of it is read. The payload is then
-read in row strips, each a new array of the file's samples, and range-checked
-strip by strip; P2 text is parsed whole. read_image block-sums the strips as
-integers as they arrive (image.downsample_rows), so the file's bytes are never
-held whole and only the reduced image is ever float64; read_binary_image reads
-the samples into one array. A pipe or other file that cannot tell its size is
-read into memory first and then goes through the same code. CSV stores decimal
-floats and round-trips exactly. Both writers emit samples with _pgm_chunks,
-and write_image rounds float pixels straight into them. Writers are atomic
-(temp file + rename over the file the path resolves to) and stream the file as
-it is encoded: a header and the samples, or one CSV row at a time.
+file through _pgm_rows: the header is parsed from a first read, and where a
+comment or a short token meets the end of the bytes read so far, the scanner
+reads on from where it stopped. A P5 payload's length is checked against the
+file's size before any of it is read. The payload is then read in row strips,
+each a new array of the file's samples, and range-checked strip by strip; P2
+text is parsed whole. read_image block-sums the strips as integers as they
+arrive (image.downsample_rows), so the file's bytes are never held whole and
+only the reduced image is ever float64; read_binary_image reads the samples
+into one array. A pipe or other file that cannot tell its size is read into
+memory first and then goes through the same code. CSV stores decimal floats
+and round-trips exactly. Both writers emit samples with _pgm_chunks, and
+write_image rounds float pixels straight into them. Writers are atomic (temp
+file + rename over the file the path resolves to) and stream the file as it
+is encoded: a header and the samples, or one CSV row at a time.
 """
 
 from __future__ import annotations
@@ -55,18 +56,27 @@ class ImageParseError(ValueError):
 
 
 class _PgmScanner:
-    """Token scanner over a PGM header/body, tracking byte offsets."""
+    """Token scanner over a PGM header/body, tracking byte offsets; given the
+    file's `read`, a token or comment that meets the end of data reads on."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, read: Callable[[int], bytes] | None = None):
         self.data = data
         self.pos = 0
+        self.read = read
 
     def error(self, message: str, offset: int) -> ImageParseError:
         """A parse error at a byte offset, located by line as well."""
         return ImageParseError(message, offset=offset, line=self.data.count(b"\n", 0, offset) + 1)
 
     def next_token(self, what: str) -> tuple[bytes, int]:
-        start, self.pos = _TOKEN.match(self.data, self.pos).span(1)
+        match = _TOKEN.match(self.data, self.pos)
+        # one more byte could lengthen the token or comment; a token already
+        # over _TOKEN_BYTES fails as it is, so it is not read to its end
+        while (match.end() == len(self.data) and match.end(1) - match.start(1) <= _TOKEN_BYTES
+               and self.read and (more := self.read(len(self.data)))):
+            self.data += more
+            match = _TOKEN.match(self.data, self.pos)
+        start, self.pos = match.span(1)
         if start == self.pos:  # only separators were left
             raise self.error(f"unexpected end of file while reading {what}", start)
         return self.data[start : self.pos], start
@@ -143,28 +153,6 @@ def _parse_header(sc: _PgmScanner) -> tuple[bytes, int, int, int]:
     return magic, width, height, maxval
 
 
-def _read_header(fh: BinaryIO) -> tuple[_PgmScanner, tuple[bytes, int, int, int]]:
-    """The scanner over the bytes read from the start of fh, and the header it
-    parsed. A parse that stops at the end of those bytes, where one more byte
-    could lengthen the last token or comment, runs again on twice the bytes;
-    but one that failed on a token already over _TOKEN_BYTES long fails as it
-    is (the magic is 2 bytes, a number in range has at most 10 significant
-    digits)."""
-    sc = _PgmScanner(fh.read(_HEADER_BYTES))
-    while True:
-        sc.pos = 0
-        try:
-            header = _parse_header(sc)
-        except ImageParseError as exc:
-            if (sc.pos < len(sc.data) or exc.offset < len(sc.data) - _TOKEN_BYTES
-                    or not (more := fh.read(len(sc.data)))):
-                raise
-        else:
-            if sc.pos < len(sc.data) or not (more := fh.read(len(sc.data))):
-                return sc, header
-        sc.data += more
-
-
 def _p2_samples(sc: _PgmScanner, width: int, height: int, maxval: int) -> np.ndarray:
     """The int64 samples of a P2 file whose bytes are sc.data, after a header
     that ends at sc.pos."""
@@ -226,7 +214,8 @@ def _pgm_rows(path: str | Path) -> Iterator[tuple[Callable[[int, int], np.ndarra
         else:
             data = fh.read()
             src, size = io.BytesIO(data), len(data)
-        sc, (magic, width, height, maxval) = _read_header(src)
+        sc = _PgmScanner(src.read(_HEADER_BYTES), src.read)
+        magic, width, height, maxval = _parse_header(sc)
         if magic == b"P2":
             sc.data += src.read()
             samples = _p2_samples(sc, width, height, maxval)

@@ -384,7 +384,11 @@ def scene_from_dict(doc: dict) -> tuple[SceneSpec, NoiseModel]:
 def load_scene(path) -> tuple[SceneSpec, NoiseModel]:
     """Read a scene document from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # the parser recurses once per nested array or object
+            raise ValueError("scene document is nested too deeply to parse") from None
+    return scene_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,22 @@ def test_malformed_scene_exits_1_with_one_line(doc, named, tmp_path, capsys):
     ["synth", "--out", "{tmp}/out.csv"],
     ["mc-consistency", "--trials", "2", "--phi0-grid", "16"],
 ], ids=["synth", "mc-consistency"])
+def test_deeply_nested_scene_exits_1_with_one_line(command, tmp_path, capsys):
+    # json.load recurses once per '[', so it raises RecursionError, no ValueError
+    scene = tmp_path / "scene.json"
+    scene.write_text("[" * 100_000)
+    argv = [command[0], "--scene", str(scene), *command[1:]]
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "percopick: error: scene document is nested too deeply to parse\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--out", "{tmp}/out.csv"],
+    ["mc-consistency", "--trials", "2", "--phi0-grid", "16"],
+], ids=["synth", "mc-consistency"])
 def test_uniform_draw_width_overflow_exits_1_with_one_line(command, tmp_path, capsys):
     # 1e308 is finite, but the draw width 2 * half_width is not
     scene = tmp_path / "scene.json"

@@ -1,5 +1,6 @@
 """PGM and CSV readers/writers: format handling, round-trips, error paths."""
 
+import io
 import os
 import stat
 import threading
@@ -869,6 +870,41 @@ def test_overlong_first_header_token_fails_without_reading_the_file(tmp_path, he
     # reading to the token's end took 0.5-1.5 s and 80-144 MiB traced
     assert peak < 2**20
     assert elapsed < 0.2, f"rejecting the header took {elapsed:.2f} s"
+
+
+def _scanned(sc):
+    """Every (token, offset, line) sc reads, then the (message, offset, line)
+    of the error that ends the scan: the end of the bytes, or the first token
+    over _TOKEN_BYTES, which a reading scanner does not read to its end."""
+    tokens = []
+    while True:
+        try:
+            tok, start = sc.next_token("token")
+            if message := io_module._too_long(tok, "token"):
+                raise sc.error(message, start)
+        except ImageParseError as exc:
+            return tokens, (str(exc), exc.offset, exc.line)
+        tokens.append((tok, start, sc.error("", start).line))
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\r\n# a comment\r\n12 34\r\n255\r\n",
+    b"P2 \t\n#c\n\n#\n  3\x0b2\x0c65535 \t \r\n  ",
+    b"P5 1 1 255 # a last comment with no newline",
+    b"P5\n#" + b"c" * 200 + b"\r\n4 4\n255\n",
+    b"P5 " + b"9" * 64 + b" 1\n255\n",  # 64 bytes: read to its end
+    b"P5 " + b"0" * 65 + b" 1\n",  # 65 bytes: rejected
+    b"P5\n2 " + b"7" * 300 + b"\n255\n",
+    b"X" * 70,
+], ids=["crlf_comments", "whitespace_kinds", "comment_at_end", "long_comment",
+        "token_64", "token_65", "token_300", "magic_70"])
+def test_reading_scanner_scans_as_the_whole_buffer_scanner(header):
+    want = _scanned(io_module._PgmScanner(header))
+    for first in range(1, len(header) + 1):
+        src = io.BytesIO(header)
+        sc = io_module._PgmScanner(src.read(first), src.read)
+        assert _scanned(sc) == want, f"first chunk of {first} bytes"
+        assert header.startswith(sc.data)
 
 
 @pytest.mark.parametrize("header, outcome", [
