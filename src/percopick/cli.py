@@ -7,7 +7,8 @@ percolation-phase), and the window-selection bound evaluator (bound).
 Exit codes: 0 success, 1 input or parse errors, 2 degenerate estimates
 (background estimate not below particle estimate). Errors go to stderr as
 single-line diagnostics; analysis output goes to files or stdout. Identical
-invocations on identical inputs produce byte-identical outputs.
+invocations on identical inputs produce byte-identical outputs. The parser is
+built once per process, at import, and serves every main call.
 """
 
 from __future__ import annotations
@@ -279,10 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every main call parses with this one parser; its list defaults are shared by
+# all calls, so nothing may change an args list in place.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except DegenerateEstimatesError as exc:
         print(f"percopick: error: {exc}", file=sys.stderr)

@@ -192,7 +192,34 @@ def report_to_dict(report: DetectionReport) -> dict:
     }
 
 
+# One cluster of the report's "clusters" list as json.dumps(indent=2) lays it
+# out there; its fields are ints, which json writes as %d does.
+_CLUSTER_JSON = """    {
+      "id": %d,
+      "pixel_count": %d,
+      "bbox": [
+        %d,
+        %d,
+        %d,
+        %d
+      ]
+    }"""
+
+
 def report_to_json(report: DetectionReport) -> str:
     """Serialize a report with fixed key order and 6-significant-digit floats,
     so identical runs produce byte-identical documents."""
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return _report_json(report_to_dict(report))
+
+
+def _report_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2) + "\n" of a report_to_dict document. The
+    clusters, which can number thousands, are laid out here rather than by
+    json's pure-Python indenting encoder, which costs about 5 us a cluster."""
+    clusters = doc["clusters"]
+    text = json.dumps({**doc, "clusters": []}, indent=2)
+    if clusters:  # only numbers precede the clusters, so the first match is their key
+        body = ",\n".join(_CLUSTER_JSON % (c["id"], c["pixel_count"], *c["bbox"])
+                          for c in clusters)
+        text = text.replace('"clusters": []', f'"clusters": [\n{body}\n  ]', 1)
+    return text + "\n"

@@ -150,13 +150,15 @@ def downsample_rows(read: Callable[[int, int], np.ndarray], shape: tuple[int, in
     2**passes blocks of rows at a time but the last. No strip is kept past
     the next call.
 
-    Each pass sums 2x2 blocks of a strip in integers wide enough for the
-    strip's dtype and the pass count, dropping a trailing odd row or column;
-    the sums of every strip go straight into the float64 result, which is
-    divided once by 4**passes. The result is bit-identical to the float
-    passes: a sum of at most 4**passes samples is an exact float64, and so is
-    its quotient by a power of two. An image too small for the passes raises
-    ValueError once every row has been read.
+    Each 2**passes x 2**passes block of a strip is summed in integers wide
+    enough for the strip's dtype and the pass count: first its rows, added
+    into one array in place, then its columns, pair by pair, a pass at a time,
+    dropping a trailing odd column each time. The sums of every strip go
+    straight into the float64 result, which is divided once by 4**passes. The
+    result is bit-identical to the float passes: integer sums do not depend on
+    their order, a sum of at most 4**passes samples is an exact float64, and
+    so is its quotient by a power of two. An image too small for the passes
+    raises ValueError once every row has been read.
     """
     if passes < 0:
         raise ValueError(f"downsample passes must be >= 0, got {passes}")
@@ -172,11 +174,23 @@ def downsample_rows(read: Callable[[int, int], np.ndarray], shape: tuple[int, in
         a = a[: used - r]
         # signed samples do not cast into unsigned sums; 4**8 * 65535 < 2**32
         acc = np.int64 if a.dtype.kind == "i" else np.uint32 if passes <= 8 else np.uint64
-        for _ in range(passes):
-            # contiguous row pairs first, so the strided column sum reads half the strip
-            rows = np.add(a[0::2], a[1::2], dtype=acc)
-            w2 = rows.shape[1] // 2
-            a = rows[:, 0 : 2 * w2 : 2] + rows[:, 1 : 2 * w2 : 2]
+        if passes:
+            # The rows first, so the strided column sums read 2**-passes of the
+            # strip's rows. Up to 8 row phases are added into one small array,
+            # which stays in cache; larger blocks then halve it in place, so a
+            # strip costs O(passes) numpy calls.
+            phases = 1 << min(passes, 3)
+            rows = np.add(a[0::phases], a[1::phases], dtype=acc)
+            for i in range(2, phases):
+                rows += a[i::phases]
+            for _ in range(passes - 3):
+                top = rows[0::2]
+                top += rows[1::2]
+                rows = top
+            for _ in range(passes):
+                w2 = rows.shape[1] // 2
+                rows = rows[:, 0 : 2 * w2 : 2] + rows[:, 1 : 2 * w2 : 2]
+            a = rows
         out[r // block : r // block + len(a)] = a
     for _ in range(passes):  # too small by pass height.bit_length() at the latest
         shape = _halved(*shape)

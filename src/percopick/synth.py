@@ -242,6 +242,9 @@ class SceneSpec:
             raise ValueError(f"scene side must be >= 1, got {self.n}")
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
             raise ValueError(f"need finite intensities with b > a, got a={self.a}, b={self.b}")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"a and b are too far apart: the contrast b - a overflows, "
+                             f"got a={self.a}, b={self.b}")
         truth = np.zeros((self.n, self.n), dtype=np.int32)
         flat = truth.reshape(-1)
         count = 0

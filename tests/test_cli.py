@@ -4,11 +4,12 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from percopick import DetectParams, Micrograph, read_image, write_image
+from percopick import DetectParams, Micrograph, cli, read_image, write_image
 from percopick.cli import main
 
 
@@ -274,6 +275,25 @@ def test_uniform_draw_width_overflow_exits_1_with_one_line(command, tmp_path, ca
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["synth", "--out", "{tmp}/out.csv"],
+    ["mc-consistency", "--trials", "2", "--phi0-grid", "16"],
+], ids=["synth", "mc-consistency"])
+def test_contrast_overflow_exits_1_with_one_line(command, tmp_path, capsys):
+    # a and b are finite, but b - a is not: the scene would draw inf and nan
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(dict(SCENE_DOC, a=-1e308, b=1e308)))
+    argv = [command[0], "--scene", str(scene), *command[1:]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and caught == []
+    assert captured.err == ("percopick: error: a and b are too far apart: the contrast "
+                            "b - a overflows, got a=-1e+308, b=1e+308\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--contrast", "1e200", "--sigma", "0.1", "--bound-m", "0.2"],
      "b_minus_a is too large: C1 = 3 (b-a)^2 overflows"),
@@ -361,6 +381,43 @@ def test_flag_defaults_match_reference_pipeline():
     assert _params_from_args(args) == DetectParams()
     for argv in (["estimate", "--in", "x.pgm"], ["mc-detection", "--scene", "s.json"]):
         assert _params_from_args(build_parser().parse_args(argv)) == DetectParams()
+
+
+def test_one_parser_serves_many_calls(two_level_pgm, scene_json, monkeypatch, capsys):
+    build_parser = cli.build_parser
+
+    def no_new_parser():
+        raise AssertionError("main built a parser")
+
+    flags = ["--phi0", "32", "--phi1", "8", "--downsample", "0"]
+    calls = [
+        ["detect", "--in", str(two_level_pgm), "--no-normalize", *flags],
+        ["detect", "--in", str(two_level_pgm), *flags],
+        ["detect", "--in", str(two_level_pgm), "--phi0", "x"],
+        ["detect", "--in", str(two_level_pgm), *flags],
+        ["mc-consistency", "--scene", str(scene_json), "--trials", "2"],
+        ["mc-consistency", "--scene", str(scene_json), "--trials", "2"],
+    ]
+    shared = cli._PARSER
+    monkeypatch.setattr(cli, "build_parser", no_new_parser)
+    got = []
+    for argv in calls:
+        got.append((main(argv), *capsys.readouterr()))
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", build_parser())
+        fresh.append((main(argv), *capsys.readouterr()))
+    assert got == fresh
+    assert [code for code, _, _ in got] == [0, 0, 1, 0, 0, 0]
+    assert [json.loads(got[i][1])["params"]["normalize"] for i in (0, 1, 3)] == [
+        False, True, True]
+    assert got[2][2].startswith("percopick: error: argument --phi0: invalid int value")
+    assert [line.split(",")[0] for line in got[4][1].splitlines()] == ["phi0", "16", "32", "64"]
+    for argv in (calls[1], calls[4], ["percolation-phase"], ["estimate", "--in", "x.pgm"],
+                 ["mc-detection", "--scene", "s.json"], ["synth", "--scene", "s", "--out", "o"]):
+        assert vars(shared.parse_args(argv)) == vars(build_parser().parse_args(argv))
+    assert shared.parse_args(calls[4]).phi0_grid == [16, 32, 64]
+    assert shared.parse_args(["percolation-phase"]).p == [0.4, 0.6]
 
 
 def test_bound_prints_expected_value(capsys):

@@ -1,5 +1,7 @@
 """Pipeline behavior: thresholding, reports, ground-truth matching, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +26,10 @@ from percopick import (
     run_detection,
     run_detection_artifacts,
 )
+from percopick import detect as detect_module
+
+REPORT_INT = st.integers(0, 2**40)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def two_level_image(n=128, a=0.0, b=1.0, box=(40, 60, 20, 20)):
@@ -334,3 +340,36 @@ class TestReportJson:
         doc = json.loads(report_to_json(report))
         assert doc["a_hat"] == 0.333333
         assert doc["b_hat"] == 0.666667
+
+    @pytest.mark.parametrize("min_cluster", [1, 30, 10**6], ids=["all", "default", "none_kept"])
+    def test_layout_is_json_dumps_of_the_dict(self, min_cluster):
+        import json
+
+        rng = np.random.default_rng(45)
+        pixels = np.full((128, 128), 0.3) + rng.uniform(-0.2, 0.2, (128, 128))
+        pixels[30:70, 30:70] += 0.3
+        params = dataclasses.replace(self.PARAMS, min_cluster_pixels=min_cluster)
+        report = run_detection(Micrograph(pixels), params)
+        assert (len(report.clusters_kept) == 0) == (min_cluster == 10**6)
+        assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(doc=st.builds(
+        lambda a_hat, b_hat, theta, clusters, total, decision, params, dims: {
+            "a_hat": a_hat, "b_hat": b_hat, "theta": theta, "clusters": clusters,
+            "clusters_total": total, "decision": decision, "params": params, "dims": dims},
+        FINITE, FINITE, FINITE,
+        st.integers(0, 300).flatmap(lambda k: st.lists(  # a plain list would stay short
+            st.builds(lambda cid, size, bbox: {"id": cid, "pixel_count": size, "bbox": bbox},
+                      REPORT_INT, REPORT_INT, st.lists(REPORT_INT, min_size=4, max_size=4)),
+            min_size=k, max_size=k)),
+        REPORT_INT, st.sampled_from([d.value for d in Decision]),
+        st.builds(lambda phi0, phi1, size, passes, normalize: dict(
+            phi0=phi0, phi1=phi1, min_cluster_pixels=size, downsample_passes=passes,
+            normalize=normalize), REPORT_INT, REPORT_INT, REPORT_INT, REPORT_INT, st.booleans()),
+        st.lists(REPORT_INT, min_size=2, max_size=2)))
+    def test_layout_matches_json_dumps(self, doc):
+        # json.dumps(indent=2) + "\n" is the oracle
+        import json
+
+        assert detect_module._report_json(doc) == json.dumps(doc, indent=2) + "\n"

@@ -248,6 +248,19 @@ class TestDownsampleSamples:
         assert got.pixels.shape == want.pixels.shape
         assert got.pixels.tobytes() == want.pixels.tobytes()
 
+    @pytest.mark.parametrize("dtype", [">u2", np.uint16])
+    @pytest.mark.parametrize("passes", [4, 5, 6, 7, 8])
+    def test_deep_passes_on_an_odd_frame_match_float_passes(self, dtype, passes):
+        # 517x389 drops a trailing odd row or column at most passes; a block's
+        # rows are added phase by phase up to 3 passes, then halved in place
+        samples = np.random.default_rng(passes).integers(0, 65536, (389, 517)).astype(dtype)
+        want = Micrograph(samples.astype(np.float64))
+        for _ in range(passes):
+            want = downsample2x(want)
+        got = downsample_samples(samples, passes)
+        assert got.pixels.shape == want.pixels.shape == (389 >> passes, 517 >> passes)
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+
     @pytest.mark.parametrize("passes", [8, 9])  # the last uint32 pass count, then uint64
     def test_largest_sums_stay_exact(self, passes):
         side = 2**passes

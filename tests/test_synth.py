@@ -267,6 +267,12 @@ class TestSceneSpec:
             SceneSpec(n=16, a=0.5, b=0.5, particles=(),
                       noise_square=(0, 0), noise_square_side=4, min_particle_square=2)
 
+    def test_overflowing_contrast_rejected(self):
+        with pytest.raises(ValueError, match=r"^a and b are too far apart: the contrast b - a "
+                                             r"overflows, got a=-1e\+308, b=1e\+308$"):
+            SceneSpec(n=16, a=-1e308, b=1e308, particles=(),
+                      noise_square=(0, 0), noise_square_side=4, min_particle_square=2)
+
     def test_particles_read_once_from_a_generator(self):
         boxes = ((70, 70, 20), (40, 70, 10))
         masks = (place_shape(128, square_mask(side), r, c) for r, c, side in boxes)
