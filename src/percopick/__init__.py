@@ -40,7 +40,6 @@ from .io import (
 from .percolation import (
     TRI_OFFSETS,
     BinaryImage,
-    Cluster,
     ClusterSequence,
     bernoulli_field,
     binarize,

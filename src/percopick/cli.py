@@ -144,7 +144,7 @@ def _cmd_detect(args) -> int:
     if args.binary_out is not None:
         write_binary_image(artifacts.binary, args.binary_out)
     if args.filtered_out is not None:
-        write_binary_image(artifacts.kept_binary, args.filtered_out)
+        write_binary_image(_adopt_bits(report.clusters_kept.labels > 0), args.filtered_out)
     return 0
 
 

@@ -16,8 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .image import Micrograph, downsample2x, normalize_max1
-from .percolation import (BinaryImage, ClusterSequence, _adopt_bits, binarize, black_clusters,
-                          filter_clusters)
+from .percolation import BinaryImage, ClusterSequence, binarize, black_clusters, filter_clusters
 from .scan import IntensityEstimates, estimate_intensities
 
 
@@ -68,11 +67,6 @@ class DetectionArtifacts:
 
     report: DetectionReport
     binary: BinaryImage
-
-    @property
-    def kept_binary(self) -> BinaryImage:
-        """The kept clusters as a picture, built on each read."""
-        return _adopt_bits(self.report.clusters_kept.labels > 0)
 
 
 @dataclass(frozen=True)
@@ -177,18 +171,19 @@ def fmt6(x: float) -> str:
 
 
 def report_to_dict(report: DetectionReport) -> dict:
+    kept = report.clusters_kept
     return {
         "a_hat": float(fmt6(report.estimates.a_hat)),
         "b_hat": float(fmt6(report.estimates.b_hat)),
         "theta": float(fmt6(report.theta)),
         "clusters": [
-            {"id": c.id, "pixel_count": c.pixel_count, "bbox": list(c.bbox)}
-            for c in report.clusters_kept
+            {"id": cid, "pixel_count": size, "bbox": box}
+            for cid, size, box in zip(kept.ids.tolist(), kept.sizes.tolist(), kept.boxes().tolist())
         ],
         "clusters_total": report.clusters_total,
         "decision": report.decision.value,
         "params": asdict(report.params),  # field order is the key order
-        "dims": list(report.clusters_kept.labels.shape[::-1]),  # (width, height)
+        "dims": list(kept.labels.shape[::-1]),  # (width, height)
     }
 
 

@@ -9,7 +9,6 @@ inside particles from clusters grown in background noise.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +46,6 @@ def _adopt_bits(bits: np.ndarray) -> BinaryImage:
     return BinaryImage(bits)
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """A maximal black connected component. bbox is (min_row, min_col,
-    max_row, max_col); the pixels of the i-th cluster of a ClusterSequence
-    are where its label image equals i + 1.
-    """
-
-    id: int
-    pixel_count: int
-    bbox: tuple[int, int, int, int]
-
-
 def binarize(img: Micrograph, theta: float) -> BinaryImage:
     """Threshold at level theta: a pixel is black iff its value is >= theta."""
     theta = float(theta)
@@ -81,7 +68,7 @@ def label_black(image: BinaryImage) -> tuple[np.ndarray, int]:
     return ndimage.label(image.bits, structure=_TRI_STRUCTURE, output=np.intp)
 
 
-class ClusterSequence(Sequence):
+class ClusterSequence:
     """Black clusters of one picture in discovery order, carried by a label
     image: the package's one cluster format.
 
@@ -89,38 +76,29 @@ class ClusterSequence(Sequence):
     of the i-th cluster of the sequence, 0 elsewhere; ids[i] and sizes[i] are
     that cluster's id and pixel count. black_clusters gives the sequence of all
     clusters, over label_black's own image (ids[i] == i), and filter_clusters a
-    shorter one over a relabelled image. The Cluster objects are built on the
-    first read, from their boxes in labels, and kept, so repeated reads return
-    the same object.
+    shorter one over a relabelled image.
     """
 
     def __init__(self, labels: np.ndarray, ids: np.ndarray, sizes: np.ndarray):
         for a in (labels, ids, sizes):
             a.setflags(write=False)
         self.labels, self.ids, self.sizes = labels, ids, sizes
-        self._built = None
 
     def __len__(self) -> int:
         return self.sizes.size
 
-    def __getitem__(self, index):
-        if self._built is None:
-            boxes = ndimage.find_objects(self.labels, max_label=len(self))
-            self._built = tuple(
-                Cluster(cid, size, (rows.start, cols.start, rows.stop - 1, cols.stop - 1))
-                for cid, size, (rows, cols) in zip(self.ids.tolist(), self.sizes.tolist(), boxes))
-        return list(self._built[index]) if isinstance(index, slice) else self._built[index]
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+    def boxes(self) -> np.ndarray:
+        """A (len, 4) intp array whose i-th row is the bounding box of the i-th
+        cluster, (min_row, min_col, max_row, max_col), found on each call."""
+        slices = ndimage.find_objects(self.labels, max_label=len(self))
+        return np.array([(rows.start, cols.start, rows.stop - 1, cols.stop - 1)
+                         for rows, cols in slices], dtype=np.intp).reshape(len(self), 4)
 
 
 def black_clusters(image: BinaryImage) -> ClusterSequence:
     """All maximal black clusters, ordered by discovery, ids consecutive from 0.
 
-    One labelling pass and one size count; a cluster is built only when read.
+    One labelling pass and one size count.
     """
     labels, count = label_black(image)
     sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
@@ -137,7 +115,7 @@ def filter_clusters(clusters: ClusterSequence, min_pixels: int) -> ClusterSequen
 
     The result's label image, a lookup table applied to the input's, holds only
     the kept clusters (or the result is the input itself if all are kept); so
-    no dropped cluster is ever boxed.
+    its boxes() finds no dropped cluster.
     """
     if min_pixels < 1:
         raise ValueError(f"min_pixels must be >= 1, got {min_pixels}")

@@ -102,7 +102,7 @@ class TestRunDetection:
         report = run_detection(img, self.PARAMS)
         assert report.decision is Decision.PARTICLES_FOUND
         assert len(report.clusters_kept) == 1
-        assert report.clusters_kept[0].pixel_count == 400
+        assert report.clusters_kept.sizes.tolist() == [400]
         assert report.estimates.a_hat == 0.0
         assert report.estimates.b_hat == 1.0
         assert report.theta == 0.5
@@ -136,7 +136,7 @@ class TestRunDetection:
         assert report_to_dict(report)["dims"] == [128, 128]
         assert report.estimates.b_hat == 1.0  # normalized peak
         assert report.decision is Decision.PARTICLES_FOUND
-        assert report.clusters_kept[0].pixel_count == 400  # 40x40 halved to 20x20
+        assert report.clusters_kept.sizes[0] == 400  # 40x40 halved to 20x20
 
     def test_passes_done_skip_the_first_passes(self):
         img = two_level_image(n=256, a=0.0, b=4.0, box=(80, 120, 40, 40))
@@ -197,15 +197,11 @@ class TestRunDetection:
         )
 
     def test_artifacts_kept_binary_matches_clusters(self):
-        img = two_level_image()
-        art = run_detection_artifacts(img, self.PARAMS)
-        painted = int(art.kept_binary.bits.sum())
-        assert painted == sum(c.pixel_count for c in art.report.clusters_kept)
-
-    def test_artifacts_build_kept_binary_on_first_read(self):
+        # the kept picture, as `detect --filtered-out` writes it, is labels > 0
         art = run_detection_artifacts(two_level_image(), self.PARAMS)
-        assert not art.kept_binary.bits.flags.writeable
-        assert np.array_equal(art.kept_binary.bits, art.kept_binary.bits)
+        kept = art.report.clusters_kept
+        assert int(np.count_nonzero(kept.labels)) == int(kept.sizes.sum()) == 400
+        assert not (kept.labels > 0)[~art.binary.bits].any()
 
 
 class TestMatchDetections:

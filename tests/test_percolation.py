@@ -3,7 +3,8 @@
 The labeling engine is checked against an independent reference: an
 explicit-stack depth-first search over tri_neighbors, seeded in row-major
 order. The two must produce identical partitions and identical ids. A
-cluster's pixels are read from the label image of the sequence that holds it.
+cluster's id, size and box are read from the ids, sizes and boxes() of the
+sequence that holds it, its pixels from that sequence's label image.
 """
 
 import tracemalloc
@@ -43,6 +44,15 @@ def tri_neighbors(row, col, width, height):
 def pixels_of(clusters, i):
     """Row-major (row, col) pixels of the i-th cluster of a ClusterSequence."""
     return np.argwhere(clusters.labels == i + 1)
+
+
+def rows_of(clusters):
+    """(id, pixel_count, bbox, row-major pixels) of every cluster of a
+    ClusterSequence, in sequence order."""
+    return [(cid, size, tuple(box), pixels_of(clusters, i).tolist())
+            for i, (cid, size, box) in enumerate(zip(clusters.ids.tolist(),
+                                                     clusters.sizes.tolist(),
+                                                     clusters.boxes().tolist()))]
 
 
 def dfs_labels(bits):
@@ -158,20 +168,16 @@ class TestTriNeighbors:
 
 class TestBlackClusters:
     def test_all_white_empty(self):
-        assert black_clusters(BinaryImage(np.zeros((5, 5), dtype=bool))) == []
-
-    def test_not_equal_to_a_non_sequence(self):
-        assert black_clusters(BinaryImage(np.ones((2, 2), dtype=bool))) != 5
+        clusters = black_clusters(BinaryImage(np.zeros((5, 5), dtype=bool)))
+        assert len(clusters) == 0 and not clusters
+        assert clusters.boxes().shape == (0, 4)
 
     def test_single_pixel(self):
         bits = np.zeros((4, 4), dtype=bool)
         bits[2, 1] = True
         clusters = black_clusters(BinaryImage(bits))
-        (cluster,) = clusters
-        assert cluster.id == 0
-        assert cluster.pixel_count == 1
-        assert pixels_of(clusters, 0).tolist() == [[2, 1]]
-        assert cluster.bbox == (2, 1, 2, 1)
+        assert rows_of(clusters) == [(0, 1, (2, 1, 2, 1), [[2, 1]])]
+        assert clusters.boxes().dtype == np.intp
 
     def test_main_diagonal_is_not_an_edge(self):
         bits = np.zeros((3, 3), dtype=bool)
@@ -189,9 +195,9 @@ class TestBlackClusters:
         bits[2, 0:2] = True        # second
         bits[5, 5] = True          # third
         clusters = black_clusters(BinaryImage(bits))
-        assert [c.id for c in clusters] == [0, 1, 2]
+        assert clusters.ids.tolist() == [0, 1, 2]
         assert pixels_of(clusters, 0).tolist() == [[0, 4]]
-        assert clusters[1].pixel_count == 2
+        assert clusters.sizes[1] == 2
         assert pixels_of(clusters, 2).tolist() == [[5, 5]]
 
     @pytest.mark.parametrize("seed", range(8))
@@ -214,7 +220,7 @@ class TestBlackClusters:
         rng = np.random.default_rng(11)
         bits = rng.random((20, 20)) < 0.5
         clusters = black_clusters(BinaryImage(bits))
-        total = sum(c.pixel_count for c in clusters)
+        total = int(clusters.sizes.sum())
         assert total == int(bits.sum())
         seen = set()
         for i in range(len(clusters)):
@@ -250,7 +256,7 @@ class TestBlackClusters:
         bits = rng.random((25, 25)) < 0.4
         clusters = black_clusters(BinaryImage(bits))
         sizes = cluster_sizes(BinaryImage(bits))
-        assert sizes.tolist() == [c.pixel_count for c in clusters]
+        assert sizes.tolist() == [len(pixels_of(clusters, i)) for i in range(len(clusters))]
 
     def test_sizes_counted_without_copying_the_labels(self):
         # the 8-byte label image itself, and no second frame-size array to count it
@@ -271,14 +277,14 @@ class TestFilterClusters:
         bits[10:15, 10:16] = True      # 30 pixels
         bits[20:30, 20:40] = True      # 200 pixels
         clusters = black_clusters(BinaryImage(bits))
-        assert sorted(c.pixel_count for c in clusters) == [5, 30, 200]
+        assert sorted(clusters.sizes.tolist()) == [5, 30, 200]
         kept = filter_clusters(clusters, 30)
-        assert sorted(c.pixel_count for c in kept) == [30, 200]
+        assert sorted(kept.sizes.tolist()) == [30, 200]
 
     def test_min_one_is_identity(self):
         bits = np.random.default_rng(2).random((10, 10)) < 0.5
         clusters = black_clusters(BinaryImage(bits))
-        assert filter_clusters(clusters, 1) == clusters
+        assert filter_clusters(clusters, 1) is clusters
 
     @pytest.mark.parametrize("min_pixels", [1, 2, 30])
     @pytest.mark.parametrize("seed, p", [(0, 0.45), (1, 0.5), (2, 0.55)])
@@ -296,8 +302,7 @@ class TestFilterClusters:
         assert cluster_sizes(BinaryImage(bits)).tolist() == np.bincount(
             ref_labels[ref_labels >= 0], minlength=ref_count).tolist()
         kept = filter_clusters(clusters, min_pixels)
-        assert [(c.id, c.pixel_count, c.bbox, pixels_of(kept, i).tolist())
-                for i, c in enumerate(kept)] == expected
+        assert rows_of(kept) == expected
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(height=st.integers(1, 64), width=st.integers(1, 64),
@@ -307,25 +312,16 @@ class TestFilterClusters:
         bits = np.random.default_rng(seed).random((height, width)) < p
         kept = filter_clusters(black_clusters(BinaryImage(bits)), min_pixels)
         expected = brute_force_kept(bits, min_pixels)
-        assert [(c.id, c.pixel_count, c.bbox, pixels_of(kept, i).tolist())
-                for i, c in enumerate(kept)] == expected
+        assert rows_of(kept) == expected
         # the label image holds i + 1 on the i-th kept cluster and 0 elsewhere
         painted = np.zeros((height, width), dtype=np.int64)
         for i, (_, _, _, pixels) in enumerate(expected, 1):
             painted[tuple(np.array(pixels).T)] = i
         assert np.array_equal(kept.labels, painted)
 
-    def test_built_clusters_are_memoized(self):
-        bits = np.random.default_rng(3).random((20, 20)) < 0.5
-        clusters = black_clusters(BinaryImage(bits))
-        assert clusters[-1] is clusters[len(clusters) - 1]
-        assert clusters[1:3] == [clusters[1], clusters[2]]
-        with pytest.raises(IndexError):
-            clusters[len(clusters)]
-
     def test_empty_input(self):
         empty = black_clusters(BinaryImage(np.zeros((5, 5), dtype=bool)))
-        assert filter_clusters(empty, 30) == []
+        assert len(filter_clusters(empty, 30)) == 0
 
     def test_invalid_min_pixels(self):
         with pytest.raises(ValueError):
@@ -339,8 +335,8 @@ class TestBernoulliField:
     def test_p_one_single_full_cluster(self):
         field = bernoulli_field(8, 8, 1.0, 1)
         assert field.bits.all()
-        (cluster,) = black_clusters(field)
-        assert cluster.pixel_count == 64
+        assert rows_of(black_clusters(field)) == [
+            (0, 64, (0, 0, 7, 7), np.argwhere(field.bits).tolist())]
 
     def test_reproducible_from_seed(self):
         a = bernoulli_field(32, 32, 0.3, 123)
