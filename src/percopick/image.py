@@ -75,7 +75,10 @@ def build_integral(img: Micrograph, out: np.ndarray | None = None) -> np.ndarray
     column are zero, so any axis-aligned window sum is four table lookups.
 
     The table is new, or out, a float64 array of shape (height + 1, width + 1)
-    whose earlier contents are overwritten, write flag included."""
+    whose earlier contents are overwritten, write flag included. An image whose
+    sums overflow float64 raises ValueError: a non-finite column sum stays so
+    down its column and a non-finite entry along the rest of its row, so the
+    last column is all finite exactly when the whole table is."""
     shape = (img.height + 1, img.width + 1)
     if out is None:
         table = np.empty(shape)
@@ -91,9 +94,12 @@ def build_integral(img: Micrograph, out: np.ndarray | None = None) -> np.ndarray
     # cumsum(axis=0)'s additions in its order, a row at a time: numpy's column
     # pass strides across rows and is about 3x slower on 1024² and larger frames
     inner[0] = img.pixels[0]
-    for r in range(1, img.height):
-        np.add(inner[r - 1], img.pixels[r], out=inner[r])
-    np.cumsum(inner, axis=1, out=inner)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, img.height):
+            np.add(inner[r - 1], img.pixels[r], out=inner[r])
+        np.cumsum(inner, axis=1, out=inner)
+    if not np.isfinite(table[:, -1]).all():
+        raise ValueError("image values out of range: their sums overflow float64")
     table.setflags(write=False)
     return table
 

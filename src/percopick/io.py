@@ -3,13 +3,14 @@
 PGM payloads are raw integer samples in [0, maxval]. Both PGM readers open the
 file through _pgm_rows: the header is parsed from a first read, and where a
 comment or a short token meets the end of the bytes read so far, the scanner
-reads on from where it stopped. A P5 payload's length is checked against the
-file's size before any of it is read. The payload is then read in row strips,
-each a new array of the file's samples, and range-checked strip by strip; P2
-text is parsed whole. read_image block-sums the strips as integers as they
-arrive (image.downsample_rows), so the file's bytes are never held whole and
-only the reduced image is ever float64; read_binary_image reads the samples
-into one array. A pipe or other file that cannot tell its size is read into
+reads on from where it stopped, dropping the comments and whitespace it reads
+past once it holds a first read's worth of bytes. A P5 payload's length is
+checked against the file's size before any of it is read. The payload is then
+read in row strips, each a new array of the file's samples, and range-checked
+strip by strip; P2 text is parsed whole. read_image block-sums the strips as
+integers as they arrive (image.downsample_rows), so the file's bytes are never
+held whole and only the reduced image is ever float64; read_binary_image reads
+the samples into one array. A pipe or other file that cannot tell its size is read into
 memory first and then goes through the same code. CSV stores decimal floats
 and round-trips exactly. Both writers emit samples with _pgm_chunks, and
 write_image rounds float pixels straight into them. Writers are atomic (temp
@@ -57,29 +58,49 @@ class ImageParseError(ValueError):
 
 class _PgmScanner:
     """Token scanner over a PGM header/body, tracking byte offsets; given the
-    file's `read`, a token or comment that meets the end of data reads on."""
+    file's `read`, a token or comment that meets the end of data reads on.
+
+    data holds the file's bytes from offset base on, pos indexes data, and
+    lines counts the newlines before base. Once data holds _HEADER_BYTES,
+    separators that meet its end are dropped before it reads on, so a long
+    comment or run of whitespace is not kept."""
 
     def __init__(self, data: bytes, read: Callable[[int], bytes] | None = None):
         self.data = data
         self.pos = 0
         self.read = read
+        self.base = self.lines = 0
 
     def error(self, message: str, offset: int) -> ImageParseError:
-        """A parse error at a byte offset, located by line as well."""
-        return ImageParseError(message, offset=offset, line=self.data.count(b"\n", 0, offset) + 1)
+        """A parse error at a byte offset of the file, at or after base, located
+        by line as well."""
+        line = self.lines + self.data.count(b"\n", 0, offset - self.base) + 1
+        return ImageParseError(message, offset=offset, line=line)
 
     def next_token(self, what: str) -> tuple[bytes, int]:
         match = _TOKEN.match(self.data, self.pos)
         # one more byte could lengthen the token or comment; a token already
         # over _TOKEN_BYTES fails as it is, so it is not read to its end
         while (match.end() == len(self.data) and match.end(1) - match.start(1) <= _TOKEN_BYTES
-               and self.read and (more := self.read(len(self.data)))):
+               and self.read and (more := self.read(max(len(self.data), _HEADER_BYTES)))):
+            if match.start(1) == len(self.data) >= _HEADER_BYTES:
+                self._drop_separators()
             self.data += more
             match = _TOKEN.match(self.data, self.pos)
         start, self.pos = match.span(1)
         if start == self.pos:  # only separators were left
-            raise self.error(f"unexpected end of file while reading {what}", start)
-        return self.data[start : self.pos], start
+            raise self.error(f"unexpected end of file while reading {what}", self.base + start)
+        return self.data[start : self.pos], self.base + start
+
+    def _drop_separators(self) -> None:
+        """Forget data, whose bytes from pos on are all separators, keeping one
+        '#' in place of its last byte if that ends an unfinished comment."""
+        data = self.data
+        in_comment = data.find(b"#", max(self.pos, data.rfind(b"\n") + 1)) >= 0
+        keep = b"#" if in_comment else b""
+        self.lines += data.count(b"\n")
+        self.base += len(data) - len(keep)
+        self.data, self.pos = keep, 0
 
     def next_int(self, what: str, low: int, high: int) -> int:
         tok, start = self.next_token(what)
@@ -149,21 +170,21 @@ def _parse_header(sc: _PgmScanner) -> tuple[bytes, int, int, int]:
     # P5: exactly one separator byte between maxval and the payload
     separator = sc.data[sc.pos : sc.pos + 1]
     if magic == b"P5" and (not separator or separator not in _WHITESPACE):
-        raise sc.error("missing whitespace after maxval in P5 header", sc.pos)
+        raise sc.error("missing whitespace after maxval in P5 header", sc.base + sc.pos)
     return magic, width, height, maxval
 
 
 def _p2_samples(sc: _PgmScanner, width: int, height: int, maxval: int) -> np.ndarray:
-    """The int64 samples of a P2 file whose bytes are sc.data, after a header
-    that ends at sc.pos."""
+    """The int64 samples of a P2 file whose bytes from sc.base on are sc.data,
+    after a header that ends at sc.pos."""
     data, count = sc.data, width * height
     body = _blank_comments(data[sc.pos :])
     tokens = body.split()  # the tokens _PgmScanner reads
     if len(tokens) < count:
         raise ImageParseError(
             f"expected {count} pixel values, found {len(tokens)}",
-            offset=len(data),
-            line=data.count(b"\n", 0, len(data) - 1) + 1,  # line of the last byte
+            offset=sc.base + len(data),
+            line=sc.lines + data.count(b"\n", 0, len(data) - 1) + 1,  # line of the last byte
         )
     try:
         values = np.array(tokens, dtype=np.int64)
@@ -172,7 +193,7 @@ def _p2_samples(sc: _PgmScanner, width: int, height: int, maxval: int) -> np.nda
     except (ValueError, OverflowError):  # a token that is no int64
         pass
     index, message = _first_rejected(tokens, count, maxval)
-    raise sc.error(message, sc.pos + _token_start(body, index))
+    raise sc.error(message, sc.base + sc.pos + _token_start(body, index))
 
 
 def _p5_rows(fh: BinaryIO, start: int, width: int, maxval: int) -> Callable[[int, int], np.ndarray]:
@@ -221,7 +242,7 @@ def _pgm_rows(path: str | Path) -> Iterator[tuple[Callable[[int, int], np.ndarra
             samples = _p2_samples(sc, width, height, maxval)
             yield (lambda r, n: samples[r : r + n]), samples.shape
             return
-        start = sc.pos + 1
+        start = sc.base + sc.pos + 1
         needed, found = width * height * _sample_dtype(maxval).itemsize, size - start
         if found < needed:
             raise ImageParseError(

@@ -46,12 +46,17 @@ def _extremal_window(table: np.ndarray, side: int, take_max: bool) -> WindowStat
     rows = table.shape[0] - side  # window rows
     buffer = np.empty((min(rows, _STRIP_ROWS), table.shape[1] - side))
     hits = []
-    for r in range(0, rows, _STRIP_ROWS):
-        strip = table[r : r + _STRIP_ROWS + side]
-        sums = window_sums(strip, side, out=buffer[: len(strip) - side])
-        row, col = divmod(int(pick(sums)), sums.shape[1])
-        hits.append((float(sums[row, col]), r + row, col))
+    # a difference of finite table entries can overflow; the chosen sum is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(0, rows, _STRIP_ROWS):
+            strip = table[r : r + _STRIP_ROWS + side]
+            sums = window_sums(strip, side, out=buffer[: len(strip) - side])
+            row, col = divmod(int(pick(sums)), sums.shape[1])
+            hits.append((float(sums[row, col]), r + row, col))
     total, row, col = hits[int(pick([hit[0] for hit in hits]))]
+    if not np.isfinite(total):
+        raise ValueError(f"image values out of range: a {side}x{side} window sum "
+                         "overflows float64")
     return WindowStats(row=row, col=col, side=side, sum=total, mean=total / (side * side))
 
 

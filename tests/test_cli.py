@@ -294,6 +294,24 @@ def test_contrast_overflow_exits_1_with_one_line(command, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["mc-consistency", "--scene", "{tmp}/scene.json", "--trials", "2", "--phi0-grid", "16"],
+    ["estimate", "--in", "{tmp}/huge.csv", "--no-normalize", "--downsample", "0",
+     "--phi0", "8", "--phi1", "4"],
+], ids=["mc-consistency", "estimate"])
+def test_huge_finite_values_exit_1_with_one_line(command, tmp_path, capsys):
+    # every level and pixel is finite, but the integral table of the image overflows
+    (tmp_path / "scene.json").write_text(json.dumps(dict(SCENE_DOC, a=1e307, b=2e307, phi1=4)))
+    (tmp_path / "huge.csv").write_text(("1e308," * 69 + "1e308\n") * 70)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([arg.format(tmp=tmp_path) for arg in command])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and caught == []
+    assert captured.err == ("percopick: error: image values out of range: "
+                            "their sums overflow float64\n")
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--contrast", "1e200", "--sigma", "0.1", "--bound-m", "0.2"],
      "b_minus_a is too large: C1 = 3 (b-a)^2 overflows"),

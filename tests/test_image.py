@@ -131,6 +131,15 @@ class TestIntegralImage:
         with pytest.raises(ValueError, match=r"integral table must be float64 of shape \(4, 5\)"):
             build_integral(Micrograph(np.ones((3, 4))), out=out)
 
+    @pytest.mark.parametrize("pixels", [
+        [[1e308, 1e308], [-1e308, -1e308]],  # a row sum overflows, yet table[-1, -1] is 0.0
+        [[1e308], [1e308]],  # a column sum overflows
+    ], ids=["row", "column"])
+    def test_overflowing_sums_rejected(self, pixels):
+        with pytest.raises(ValueError, match=r"^image values out of range: their sums "
+                                             r"overflow float64$"):
+            build_integral(Micrograph(pixels))
+
 
 class TestWindowSum:
     def test_full_window(self):

@@ -272,6 +272,34 @@ def test_p2_bad_last_token_located_without_a_token_walk(tmp_path, last, message)
     assert elapsed < 0.3, f"reporting the bad token took {elapsed:.2f} s"
 
 
+@pytest.mark.parametrize("last, message", [
+    (b"x", "non-numeric token b'x' for pixel value"),
+    (b"999", "pixel value 999 outside 0..255"),
+])
+def test_p2_bad_last_token_located_from_the_header_tokens_alone(tmp_path, monkeypatch, last,
+                                                                  message):
+    # the timed test's file; the scanner reads the header's four tokens and no pixel value
+    row = b" ".join(b"%d" % (v % 256) for v in range(600)) + b"\n"
+    body = row * 599 + row[: row.rindex(b" ") + 1] + last + b"\n"
+    data = b"P2\n600 600\n255\n" + body
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    calls = []
+    next_token = io_module._PgmScanner.next_token
+
+    def counted(self, what):
+        calls.append(what)
+        return next_token(self, what)
+
+    monkeypatch.setattr(io_module._PgmScanner, "next_token", counted)
+    with pytest.raises(ImageParseError) as err:
+        read_image(path)
+    offset = len(data) - len(last) - 1
+    assert str(err.value) == f"{message} (line 603, byte {offset})"
+    assert (err.value.offset, err.value.line) == (offset, 603)
+    assert calls == ["magic number", "width", "height", "maxval"]
+
+
 def test_p2_error_location_follows_comments(tmp_path):
     path = tmp_path / "bad.pgm"
     # a comment among the values is skipped, as in the header
@@ -849,6 +877,22 @@ def test_header_comment_longer_than_the_first_read(tmp_path):
         read_image(path)
     assert str(err.value) == (f"unexpected end of file while reading maxval "
                               f"(line 3, byte {7 + len(comment)})")
+
+
+def test_long_header_comment_is_read_past_without_keeping_it(tmp_path):
+    path = tmp_path / "x.pgm"
+    with open(path, "wb") as fh:  # a 4x4 P5 whose header holds one 32 MiB comment
+        fh.write(b"P5\n#")
+        for _ in range(32):
+            fh.write(b"c" * (1 << 20))
+        fh.write(b"\n4 4\n255\n" + bytes(range(16)))
+    start = time.perf_counter()
+    img = read_image(path)
+    elapsed = time.perf_counter() - start
+    # keeping the comment's bytes took 0.18-0.24 s and 80 MiB traced
+    assert traced_peak(lambda: read_image(path)) < 4 * 2**20
+    assert elapsed < 0.5, f"reading past the comment took {elapsed:.2f} s"
+    assert img.pixels.ravel().tolist() == list(range(16))
 
 
 @pytest.mark.parametrize("head, fill, message", [

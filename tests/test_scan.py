@@ -96,6 +96,14 @@ class TestScanWindows:
         with pytest.raises(ValueError):
             scan_min_window(table, side)
 
+    def test_overflowing_chosen_window_sum_rejected(self):
+        # a finite table: the 2x2 window at row 1 sums to -2e308, the one at row 0 to 0
+        table = build_integral(Micrograph([[1e308, 0.0], [-1e308, 0.0], [-1e308, 0.0]]))
+        with pytest.raises(ValueError, match=r"^image values out of range: a 2x2 window sum "
+                                             r"overflows float64$"):
+            scan_min_window(table, 2)
+        assert (scan_max_window(table, 2).row, scan_max_window(table, 2).sum) == (0, 0.0)
+
     def test_side_equal_to_min_dimension(self):
         rng = np.random.default_rng(31)
         pixels = rng.random((5, 8))
