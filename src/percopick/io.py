@@ -83,7 +83,7 @@ class _PgmScanner:
         # over _TOKEN_BYTES fails as it is, so it is not read to its end
         while (match.end() == len(self.data) and match.end(1) - match.start(1) <= _TOKEN_BYTES
                and self.read and (more := self.read(max(len(self.data), _HEADER_BYTES)))):
-            if match.start(1) == len(self.data) >= _HEADER_BYTES:
+            if match.start(1) == len(self.data) >= _HEADER_BYTES:  # no token yet
                 self._drop_separators()
             self.data += more
             match = _TOKEN.match(self.data, self.pos)
