@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .detect import (
     DegenerateEstimatesError,
@@ -25,7 +26,7 @@ from .detect import (
     report_to_json,
     run_detection_artifacts,
 )
-from .image import _adopt
+from .image import _adopt, no_overflow
 from .io import (
     atomic_write_bytes,
     read_image,
@@ -78,9 +79,11 @@ def _flag_parents() -> tuple[argparse.ArgumentParser, ...]:
                    help="window side for the background estimate (default: %(default)s)")
     g.add_argument("--phi1", type=int, default=d.phi1,
                    help="window side for the particle estimate (default: %(default)s)")
-    g.add_argument("--min-cluster", type=int, default=d.min_cluster_pixels,
+    g.add_argument("--min-cluster", dest="min_cluster_pixels", type=int,
+                   default=d.min_cluster_pixels, metavar="MIN_CLUSTER",
                    help="keep clusters of at least this many pixels (default: %(default)s)")
-    g.add_argument("--downsample", type=int, default=d.downsample_passes,
+    g.add_argument("--downsample", dest="downsample_passes", type=int,
+                   default=d.downsample_passes, metavar="DOWNSAMPLE",
                    help="number of 2x downsampling passes (default: %(default)s)")
     g.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=d.normalize,
                    help="rescale to a maximum intensity of 1 before estimating "
@@ -96,13 +99,7 @@ def _flag_parents() -> tuple[argparse.ArgumentParser, ...]:
 
 
 def _params_from_args(args) -> DetectParams:
-    return DetectParams(
-        phi0=args.phi0,
-        phi1=args.phi1,
-        min_cluster_pixels=args.min_cluster,
-        downsample_passes=args.downsample,
-        normalize=args.normalize,
-    )
+    return DetectParams(**{f.name: getattr(args, f.name) for f in fields(DetectParams)})
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -157,7 +154,8 @@ def _cmd_synth(args) -> int:
         frame = img.pixels
         del img  # nobody reads the frame unscaled, so it is scaled in place
         frame.setflags(write=True)
-        frame *= args.pgm_maxval
+        with no_overflow("their values scaled to --pgm-maxval"):
+            frame *= args.pgm_maxval
         write_image(_adopt(frame), args.out, maxval=args.pgm_maxval)
     if args.truth_out is not None:
         write_binary_image(_adopt_bits(truth > 0), args.truth_out)

@@ -12,6 +12,7 @@ from it.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,18 @@ def _adopt(px: np.ndarray) -> Micrograph:
     return Micrograph(px)
 
 
+@contextmanager
+def no_overflow(what: str):
+    """Turn a float64 overflow in numpy calls of the block into the ValueError
+    'image values out of range: <what> overflow float64', as it happens: no
+    warning, and no second pass over the result to look for infinities."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"image values out of range: {what} overflow float64") from None
+
+
 @dataclass(frozen=True)
 class WindowStats:
     """A square window's position, side length, pixel sum, and mean."""
@@ -76,9 +89,7 @@ def build_integral(img: Micrograph, out: np.ndarray | None = None) -> np.ndarray
 
     The table is new, or out, a float64 array of shape (height + 1, width + 1)
     whose earlier contents are overwritten, write flag included. An image whose
-    sums overflow float64 raises ValueError: a non-finite column sum stays so
-    down its column and a non-finite entry along the rest of its row, so the
-    last column is all finite exactly when the whole table is."""
+    sums overflow float64 raises ValueError at the first sum that overflows."""
     shape = (img.height + 1, img.width + 1)
     if out is None:
         table = np.empty(shape)
@@ -94,12 +105,10 @@ def build_integral(img: Micrograph, out: np.ndarray | None = None) -> np.ndarray
     # cumsum(axis=0)'s additions in its order, a row at a time: numpy's column
     # pass strides across rows and is about 3x slower on 1024² and larger frames
     inner[0] = img.pixels[0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with no_overflow("their sums"):
         for r in range(1, img.height):
             np.add(inner[r - 1], img.pixels[r], out=inner[r])
         np.cumsum(inner, axis=1, out=inner)
-    if not np.isfinite(table[:, -1]).all():
-        raise ValueError("image values out of range: their sums overflow float64")
     table.setflags(write=False)
     return table
 
@@ -133,17 +142,18 @@ def downsample2x(img: Micrograph) -> Micrograph:
     """
     h2, w2 = _halved(img.height, img.width)
     px = img.pixels[: 2 * h2, : 2 * w2]
-    if w2 == 1:  # one block wide: numpy's mean adds the four pixels in plain sequence
-        return _adopt(px.reshape(h2, 2, 1, 2).mean(axis=(1, 3)))
-    # Wider frames: reshape(h2, 2, w2, 2).mean(axis=(1, 3)) adds
-    # (top-left + top-right) + (bottom-left + bottom-right), then divides by 4;
-    # keeping that order keeps every block mean bit-identical to it. The bottom
-    # pair goes in by row strips, so no second frame-size temporary exists.
-    top, bottom = px[0::2], px[1::2]
-    out = top[:, 0::2] + top[:, 1::2]
-    for r in range(0, h2, _STRIP_ROWS):
-        strip = bottom[r : r + _STRIP_ROWS]
-        out[r : r + _STRIP_ROWS] += strip[:, 0::2] + strip[:, 1::2]
+    with no_overflow("their 2x2 block sums"):
+        if w2 == 1:  # one block wide: numpy's mean adds the four pixels in plain sequence
+            return _adopt(px.reshape(h2, 2, 1, 2).mean(axis=(1, 3)))
+        # Wider frames: reshape(h2, 2, w2, 2).mean(axis=(1, 3)) adds
+        # (top-left + top-right) + (bottom-left + bottom-right), then divides by 4;
+        # keeping that order keeps every block mean bit-identical to it. The bottom
+        # pair goes in by row strips, so no second frame-size temporary exists.
+        top, bottom = px[0::2], px[1::2]
+        out = top[:, 0::2] + top[:, 1::2]
+        for r in range(0, h2, _STRIP_ROWS):
+            strip = bottom[r : r + _STRIP_ROWS]
+            out[r : r + _STRIP_ROWS] += strip[:, 0::2] + strip[:, 1::2]
     out /= 4
     return _adopt(out)
 
@@ -210,4 +220,5 @@ def normalize_max1(img: Micrograph) -> Micrograph:
     peak = float(img.pixels.max())
     if peak <= 0.0:
         raise ValueError(f"maximum pixel value must be positive, got {peak}")
-    return _adopt(img.pixels / peak)
+    with no_overflow("their ratios to the peak"):
+        return _adopt(img.pixels / peak)

@@ -47,7 +47,7 @@ from .detect import (
     preprocess,
     run_detection_artifacts,
 )
-from .image import Micrograph, _adopt
+from .image import Micrograph, _adopt, no_overflow
 from .percolation import binarize, black_clusters, bernoulli_field, cluster_sizes, filter_clusters
 from .scan import estimate_lower, naive_mean
 
@@ -96,7 +96,9 @@ class TruncatedGaussianNoise(NoiseModel):
     """Normal(0, sigma_raw^2) conditioned on |eps| <= bound, by rejection.
 
     For bound = sigma_raw the acceptance rate is about 68%, so the loop below
-    rarely needs more than two rounds.
+    rarely needs more than two rounds. A bound below sigma_raw / 1000 is
+    rejected: fewer than 0.08% of the draws would be kept, and the loop's time
+    grows without limit as the bound nears 0.
     """
 
     sigma_raw: float
@@ -107,6 +109,9 @@ class TruncatedGaussianNoise(NoiseModel):
             raise ValueError(f"sigma_raw must be finite and > 0, got {self.sigma_raw}")
         if not (self.bound > 0 and math.isfinite(self.bound)):
             raise ValueError(f"bound must be finite and > 0, got {self.bound}")
+        if not self.bound >= self.sigma_raw / 1000:
+            raise ValueError(f"bound must be at least sigma_raw / 1000, got "
+                             f"sigma_raw={self.sigma_raw}, bound={self.bound}")
 
     def sample(self, rng, shape, out=None):
         out = np.empty(shape) if out is None else out
@@ -299,8 +304,9 @@ def generate_scene(spec: SceneSpec, noise: NoiseModel, seed,
     frame, on, off = scene_buffers(spec) if buffers is None else buffers
     frame.setflags(write=True)
     pixels = noise.sample(np.random.default_rng(seed), frame.shape, out=frame)
-    np.add(pixels, spec.b, out=pixels, where=on)
-    np.add(pixels, spec.a, out=pixels, where=off)
+    with no_overflow("the scene's levels plus noise"):
+        np.add(pixels, spec.b, out=pixels, where=on)
+        np.add(pixels, spec.a, out=pixels, where=off)
     return _adopt(pixels), spec.truth
 
 
@@ -426,10 +432,14 @@ def window_selection_bound(
     noise-only square. A term with s1 = 0 is taken as exp(0) = 1 (the bound
     is vacuous for windows containing no particle pixels). This is a
     diagnostic for hypothetical configurations, not an estimator. Inputs
-    that make C1, C2 or C3 overflow are a ValueError naming them.
+    that make C1, C2 or C3 overflow, or C3 underflow to 0, are a ValueError
+    naming them.
     """
-    s1 = [float(v) for v in s1_list]
-    excess = [float(v) for v in excess_list]
+    try:
+        s1 = [float(v) for v in s1_list]
+        excess = [float(v) for v in excess_list]
+    except OverflowError:  # an int beyond float64
+        raise ValueError("s1 and excess values must be finite and >= 0") from None
     if not s1:
         raise ValueError("s1_list must not be empty")
     if len(s1) != len(excess):
@@ -447,6 +457,8 @@ def window_selection_bound(
                                       ("C3 = 4 M (b-a)", c3, "bound_m * b_minus_a")):
         if not math.isfinite(value):
             raise ValueError(f"{names} is too large: {coefficient} overflows")
+    if c3 == 0.0:  # a window with no excess would divide by zero
+        raise ValueError("bound_m * b_minus_a is too small: C3 = 4 M (b-a) underflows to 0")
     total = sum(1.0 if s == 0.0 else math.exp(-c1 * s * s / (c2 * e + c3 * s))
                 for s, e in zip(s1, excess))
     return BoundResult(raw_sum=total, clipped=min(total, 1.0))
@@ -565,15 +577,9 @@ def mc_consistency(
                                   scene_buffers(spec), table), trials, jobs)
     errs = np.array([r[0] for r in results])  # (trials, len(grid))
     naive = np.array([r[1] for r in results])
-    rows = tuple(
-        ConsistencyRow(
-            phi0=phi0,
-            median_abs_err=float(np.median(errs[:, i])),
-            q25_abs_err=float(np.quantile(errs[:, i], 0.25)),
-            q75_abs_err=float(np.quantile(errs[:, i], 0.75)),
-        )
-        for i, phi0 in enumerate(phi0_grid)
-    )
+    q25s, q75s = np.quantile(errs, (0.25, 0.75), axis=0)
+    rows = tuple(ConsistencyRow(phi0, float(med), float(q25), float(q75))
+                 for phi0, med, q25, q75 in zip(phi0_grid, np.median(errs, axis=0), q25s, q75s))
     return ConsistencyTable(
         rows=rows, naive_median_abs_err=float(np.median(naive)), trials=trials
     )

@@ -1,13 +1,22 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import contextlib
+import functools
+import gc
 import hashlib
+import io
 import json
 import math
+import operator
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from percopick import DetectParams, Micrograph, cli, read_image, write_image
 from percopick.cli import main
@@ -294,24 +303,6 @@ def test_contrast_overflow_exits_1_with_one_line(command, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["mc-consistency", "--scene", "{tmp}/scene.json", "--trials", "2", "--phi0-grid", "16"],
-    ["estimate", "--in", "{tmp}/huge.csv", "--no-normalize", "--downsample", "0",
-     "--phi0", "8", "--phi1", "4"],
-], ids=["mc-consistency", "estimate"])
-def test_huge_finite_values_exit_1_with_one_line(command, tmp_path, capsys):
-    # every level and pixel is finite, but the integral table of the image overflows
-    (tmp_path / "scene.json").write_text(json.dumps(dict(SCENE_DOC, a=1e307, b=2e307, phi1=4)))
-    (tmp_path / "huge.csv").write_text(("1e308," * 69 + "1e308\n") * 70)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main([arg.format(tmp=tmp_path) for arg in command])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == "" and caught == []
-    assert captured.err == ("percopick: error: image values out of range: "
-                            "their sums overflow float64\n")
-
-
 @pytest.mark.parametrize("flags,named", [
     (["--contrast", "1e200", "--sigma", "0.1", "--bound-m", "0.2"],
      "b_minus_a is too large: C1 = 3 (b-a)^2 overflows"),
@@ -319,12 +310,169 @@ def test_huge_finite_values_exit_1_with_one_line(command, tmp_path, capsys):
      "sigma is too large: C2 = 12 sigma^2 overflows"),
     (["--contrast", "1", "--sigma", "0.1", "--bound-m", "1e308"],
      "bound_m * b_minus_a is too large: C3 = 4 M (b-a) overflows"),
-], ids=["contrast", "sigma", "bound_m"])
+    (["--contrast", "0.1", "--sigma", "0.1", "--bound-m", "5e-324"],
+     "bound_m * b_minus_a is too small: C3 = 4 M (b-a) underflows to 0"),
+], ids=["contrast", "sigma", "bound_m", "bound_m_underflow"])
 def test_bound_coefficient_overflow_exits_1_with_one_line(flags, named, capsys):
     code = main(["bound", "--s1", "4", "--excess", "1", *flags])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"percopick: error: {named}\n"
+
+
+SCENE_16 = {
+    "n": 16, "a": 0.3, "b": 0.7, "phi0": 4, "phi1": 2,
+    "shapes": [{"kind": "square", "size": 4, "row": 8, "col": 8}],
+    "noise": {"kind": "uniform", "half_width": 0.1},
+}
+# every value is finite, but a stage's float64 arithmetic overflows on it
+HUGE_LEVELS = json.dumps(dict(SCENE_16, a=1e308, b=1.5e308,
+                              noise={"kind": "uniform", "half_width": 8e307}))
+HUGE_BLOCKS = "".join(",".join("1.7e308" if r % 2 == c % 2 == 0 else "1e308" for c in range(80))
+                      + "\n" for r in range(80))
+TINY_PEAK = "1e-300" + ",-1e308" * 79 + "\n" + ("-1e308," * 79 + "-1e308\n") * 79
+HUGE_FINITE = [  # (argv, the files it reads, the stage named in the error)
+    (["mc-consistency", "--scene", "{tmp}/scene.json", "--trials", "2", "--phi0-grid", "16"],
+     {"scene.json": json.dumps(dict(SCENE_DOC, a=1e307, b=2e307, phi1=4))}, "their sums"),
+    (["estimate", "--in", "{tmp}/x.csv", "--no-normalize", "--downsample", "0",
+      "--phi0", "8", "--phi1", "4"], {"x.csv": ("1e308," * 69 + "1e308\n") * 70}, "their sums"),
+    (["synth", "--scene", "{tmp}/scene.json", "--out", "{tmp}/x.pgm"],
+     {"scene.json": json.dumps(dict(SCENE_16, a=1e304, b=2e304))},
+     "their values scaled to --pgm-maxval"),
+    (["synth", "--scene", "{tmp}/scene.json", "--out", "{tmp}/x.csv"],
+     {"scene.json": HUGE_LEVELS}, "the scene's levels plus noise"),
+    (["mc-detection", "--scene", "{tmp}/scene.json", "--trials", "1", "--downsample", "0",
+      "--no-normalize"], {"scene.json": HUGE_LEVELS}, "the scene's levels plus noise"),
+    (["estimate", "--in", "{tmp}/x.csv", "--downsample", "1", "--phi0", "8", "--phi1", "4"],
+     {"x.csv": HUGE_BLOCKS}, "their 2x2 block sums"),
+    (["estimate", "--in", "{tmp}/x.csv", "--downsample", "0", "--phi0", "8", "--phi1", "4"],
+     {"x.csv": TINY_PEAK}, "their ratios to the peak"),
+    (["detect", "--in", "{tmp}/x.csv", "--downsample", "0", "--phi0", "8", "--phi1", "4"],
+     {"x.csv": TINY_PEAK}, "their ratios to the peak"),
+]
+
+
+def _run_with_files(argv, files, tmp):
+    """main(argv) with files written into tmp first; returns the exit code, the
+    captured stdout and stderr, and the warnings raised."""
+    for name, text in files.items():
+        (tmp / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    # no collection while main runs: one at the bottom of json.load's deepest
+    # recursion would run the test runner's finalizers with no stack left
+    gc.disable()
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([arg.format(tmp=tmp) for arg in argv])
+    finally:
+        gc.enable()
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+@pytest.mark.parametrize("argv,files,stage", HUGE_FINITE,
+                         ids=["mc-consistency", "estimate", "synth-pgm", "synth-csv",
+                              "mc-detection", "downsample", "normalize-estimate",
+                              "normalize-detect"])
+def test_huge_finite_values_exit_1_with_one_line(argv, files, stage, tmp_path):
+    code, out, err, caught = _run_with_files(argv, files, tmp_path)
+    assert (code, out, caught) == (1, "", [])
+    assert err == f"percopick: error: image values out of range: {stage} overflow float64\n"
+    assert not (tmp_path / "x.pgm").exists()
+
+
+# Finite numbers at the edges of float64, and values of the wrong type
+EDGES = [5e-324, 1e-300, 2.2250738585072014e-308, 1e304, 1.5e304, 2e304, 8e307, 1e308,
+         1.5e308, 1.7e308, 1.7976931348623157e308]
+EDGE = st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0, *EDGES, *(-v for v in EDGES)])
+WRONG = st.sampled_from([None, True, "x", [], {}, 1.5, -1])
+
+
+def _scene_text(doc, wrong, depth):
+    """The scene document as JSON, its levels as a < b unless equal, with at most
+    one field replaced by a value of the wrong type, inside depth nested
+    one-element arrays."""
+    doc["a"], doc["b"] = doc.pop("levels")
+    if wrong is not None:
+        (*parents, key), value = wrong
+        with contextlib.suppress(IndexError):  # a scene without shapes[0] stays as it is
+            functools.reduce(operator.getitem, parents, doc)[key] = value
+    return "[" * depth + json.dumps(doc) + "]" * depth
+
+
+SHAPE = st.fixed_dictionaries({
+    "kind": st.sampled_from(["square", "disc", "l_shape", "annulus_gap", "hexagon"]),
+    "size": st.integers(0, 16), "row": st.integers(-1, 63), "col": st.integers(-1, 63)})
+SCENES = st.builds(
+    _scene_text,
+    st.fixed_dictionaries({
+        # a side of at most 64, or now and then one too large to allocate at all
+        "n": st.integers(0, 9).flatmap(lambda i: st.sampled_from([10**12, 10**400, 1e308])
+                                       if i == 0 else st.integers(1, 64)),
+        "levels": st.tuples(EDGE, EDGE).map(sorted),
+        "phi0": st.integers(1, 16), "phi1": st.integers(1, 16),
+        "shapes": st.lists(SHAPE, max_size=2),
+        "noise": st.fixed_dictionaries({"kind": st.just("uniform"), "half_width": EDGE})
+        | st.fixed_dictionaries({"kind": st.just("truncated_gaussian"),
+                                 "sigma_raw": EDGE, "bound": EDGE}),
+    }, optional={"noise_square": st.tuples(st.integers(-1, 63), st.integers(-1, 63))}),
+    st.none() | st.tuples(st.sampled_from([
+        ("n",), ("a",), ("b",), ("b",), ("phi0",), ("phi1",), ("shapes",), ("noise",),
+        ("noise_square",), ("noise", "kind"), ("noise", "half_width"), ("noise", "bound"),
+        ("shapes", 0), ("shapes", 0, "size"), ("shapes", 0, "row")]), WRONG),
+    st.sampled_from([0, 0, 0, 1, 100_000]),  # 100,000 levels exceed json.load's recursion
+)
+SCENE_COMMANDS = st.sampled_from([
+    ["synth", "--out", "{tmp}/x.csv", "--truth-out", "{tmp}/t.pgm"],
+    ["synth", "--out", "{tmp}/x.pgm"],
+    ["synth", "--out", "{tmp}/x.pgm", "--pgm-maxval", "255"],
+    ["mc-consistency", "--trials", "2", "--jobs", "1", "--phi0-grid", "1,4"],
+    ["mc-consistency", "--trials", "1", "--jobs", "1", "--phi0-grid", "16"],
+    ["mc-detection", "--trials", "2", "--jobs", "1", "--downsample", "0",
+     "--phi0", "4", "--phi1", "2"],
+    ["mc-detection", "--trials", "1", "--jobs", "1", "--downsample", "0", "--no-normalize",
+     "--phi0", "2", "--phi1", "1", "--min-cluster", "1"],
+    ["mc-detection", "--trials", "1", "--jobs", "1", "--phi0", "1", "--phi1", "1",
+     "--theta", "0.5"],
+])
+IMAGES = st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(  # CSV text, h x w
+    lambda hw: st.lists(st.lists(EDGE | st.floats(0, 1), min_size=hw[1], max_size=hw[1]),
+                        min_size=hw[0], max_size=hw[0]).map(
+        lambda rows: "".join(",".join(map(repr, row)) + "\n" for row in rows)))
+IMAGE_COMMANDS = st.tuples(
+    st.sampled_from(["estimate", "detect"]), st.sampled_from(["0", "1"]),
+    st.sampled_from(["--normalize", "--no-normalize"]),
+    st.sampled_from([["--phi0", "1", "--phi1", "1"], ["--phi0", "2", "--phi1", "1"],
+                     ["--phi0", "4", "--phi1", "2"], ["--phi0", "3", "--phi1", "5"]]),
+).map(lambda c: [c[0], "--in", "{tmp}/x.csv", "--downsample", c[1], c[2], *c[3]])
+BOUND_COUNTS = st.lists(st.integers(0, 20), max_size=3).map(lambda v: ",".join(map(str, v)))
+CASES = (
+    st.tuples(SCENE_COMMANDS, SCENES).map(
+        lambda c: ([c[0][0], "--scene", "{tmp}/scene.json", *c[0][1:]], {"scene.json": c[1]}))
+    | st.tuples(IMAGE_COMMANDS, IMAGES).map(lambda c: (c[0], {"x.csv": c[1]}))
+    | st.tuples(BOUND_COUNTS, BOUND_COUNTS, EDGE, EDGE, EDGE).map(
+        lambda c: (["bound", "--s1", c[0], "--excess", c[1], f"--contrast={c[2]!r}",
+                    f"--sigma={c[3]!r}", f"--bound-m={c[4]!r}"], {}))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=CASES)
+@example(case=HUGE_FINITE[2][:2])
+@example(case=HUGE_FINITE[3][:2])
+@example(case=HUGE_FINITE[4][:2])
+@example(case=HUGE_FINITE[5][:2])
+@example(case=HUGE_FINITE[7][:2])
+@example(case=(["bound", "--s1", str(10**400), "--excess", "1", "--contrast", "1",
+                "--sigma", "1", "--bound-m", "1"], {}))  # an int beyond float64
+def test_extreme_inputs_keep_the_one_line_contract(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err, caught = _run_with_files(argv, files, Path(tmp))
+    assert code in (0, 1, 2) and caught == []
+    assert "Traceback" not in err and err.count("\n") <= 1
 
 
 def test_synth_pgm_traced_peak_per_pixel(tmp_path, capsys):
@@ -393,8 +541,8 @@ def test_flag_defaults_match_reference_pipeline():
     from percopick.cli import _params_from_args, build_parser
 
     args = build_parser().parse_args(["detect", "--in", "x.pgm"])
-    assert (args.phi0, args.phi1, args.min_cluster) == (65, 9, 30)
-    assert args.downsample == 2
+    assert (args.phi0, args.phi1, args.min_cluster_pixels) == (65, 9, 30)
+    assert args.downsample_passes == 2
     assert args.normalize is True
     assert _params_from_args(args) == DetectParams()
     for argv in (["estimate", "--in", "x.pgm"], ["mc-detection", "--scene", "s.json"]):

@@ -102,6 +102,11 @@ class TestNoiseModels:
             TruncatedGaussianNoise(sigma_raw=0.0, bound=1.0)
         with pytest.raises(ValueError):
             TruncatedGaussianNoise(sigma_raw=1.0, bound=0.0)
+        with pytest.raises(ValueError, match=r"^bound must be at least sigma_raw / 1000, "
+                                             r"got sigma_raw=1.0, bound=1e-300$"):
+            TruncatedGaussianNoise(sigma_raw=1.0, bound=1e-300)  # would draw for ever
+        assert TruncatedGaussianNoise(sigma_raw=1.0, bound=0.001).sample(
+            np.random.default_rng(8), 64).max() <= 0.001
 
 
 UNIFORM_WIDTHS = st.sampled_from([0.0, 0.25, 1e-310, 8.98e307]) | st.floats(0.0, 1e6)
@@ -627,6 +632,32 @@ class TestMcConsistency:
         assert lines[0] == "phi0,trials,median_abs_err,q25_abs_err,q75_abs_err,naive_median_abs_err"
         assert len(lines) == 3
         assert lines[1].startswith("8,4,")
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 5])
+    def test_statistics_match_per_column_oracle(self, trials, monkeypatch):
+        a_hats, naives = [], []  # what each trial's estimates read
+        estimate, mean = synth.estimate_lower, synth.naive_mean
+
+        def recording_estimate(*args, **kwargs):
+            a_hats.append(estimate(*args, **kwargs))
+            return a_hats[-1]
+
+        def recording_mean(img):
+            naives.append(mean(img))
+            return naives[-1]
+
+        monkeypatch.setattr(synth, "estimate_lower", recording_estimate)
+        monkeypatch.setattr(synth, "naive_mean", recording_mean)
+        spec, grid = simple_scene(), [8, 16, 32]
+        table = mc_consistency(spec, UniformNoise(0.2), grid, trials=trials, seed=4, jobs=1)
+        errs = np.abs(np.array(a_hats) - spec.a)
+        assert errs.shape == (trials, len(grid)) and len(naives) == trials
+        assert [row.phi0 for row in table.rows] == grid
+        for row, col in zip(table.rows, errs.T):
+            assert row.median_abs_err == np.median(col)
+            assert row.q25_abs_err == np.quantile(col, 0.25)
+            assert row.q75_abs_err == np.quantile(col, 0.75)
+        assert table.naive_median_abs_err == np.median(np.abs(np.array(naives) - spec.a))
 
     def test_trials_share_one_frame_and_one_table(self, monkeypatch):
         frames, tables, images, alive = [], [], [], []
