@@ -169,12 +169,12 @@ def downsample_rows(read: Callable[[int, int], np.ndarray], shape: tuple[int, in
     Each 2**passes x 2**passes block of a strip is summed in integers wide
     enough for the strip's dtype and the pass count: first its rows, added
     into one array in place, then its columns, pair by pair, a pass at a time,
-    dropping a trailing odd column each time. The sums of every strip go
-    straight into the float64 result, which is divided once by 4**passes. The
-    result is bit-identical to the float passes: integer sums do not depend on
-    their order, a sum of at most 4**passes samples is an exact float64, and
-    so is its quotient by a power of two. An image too small for the passes
-    raises ValueError once every row has been read.
+    dropping a trailing odd column each time. The sums of every strip are
+    multiplied by 0.25**passes as they go into the float64 result. The result
+    is bit-identical to the float passes: integer sums do not depend on their
+    order, a sum of at most 4**passes samples is an exact float64, and so is
+    its product with a power of two. An image too small for the passes raises
+    ValueError once every row has been read.
     """
     if passes < 0:
         raise ValueError(f"downsample passes must be >= 0, got {passes}")
@@ -206,12 +206,10 @@ def downsample_rows(read: Callable[[int, int], np.ndarray], shape: tuple[int, in
             for _ in range(passes):
                 w2 = rows.shape[1] // 2
                 rows = rows[:, 0 : 2 * w2 : 2] + rows[:, 1 : 2 * w2 : 2]
-            a = rows
+            a = rows * 0.25**passes
         out[r // block : r // block + len(a)] = a
     for _ in range(passes):  # too small by pass height.bit_length() at the latest
         shape = _halved(*shape)
-    if passes:
-        out /= 4**passes
     return _adopt(out)
 
 

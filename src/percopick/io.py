@@ -21,6 +21,7 @@ is encoded: a header and the samples, or one CSV row at a time.
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 import secrets
@@ -277,7 +278,7 @@ def _read_csv(data: bytes) -> Micrograph:
                 value = float(cell)
             except ValueError:
                 value = None
-            if value is None or not np.isfinite(value):
+            if value is None or not math.isfinite(value):
                 kind = "non-numeric token" if value is None else "non-finite value"
                 raise ImageParseError(_too_long(cell.strip(), "CSV value")
                                       or f"{kind} {cell.strip()!r}", line=lineno)

@@ -30,9 +30,10 @@ import abc
 import json
 import math
 import pickle
+import re
 import signal
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, astuple, dataclass, field, fields
 from functools import partial
 from multiprocessing import Pipe, Process
 
@@ -390,14 +391,22 @@ def scene_from_dict(doc: dict) -> tuple[SceneSpec, NoiseModel]:
     return spec, noise_from_dict(_field(doc, "noise", lambda noise: noise))
 
 
+# a JSON string, running to the end of the text if unterminated, or a bracket
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]', re.S)
+
+
 def load_scene(path) -> tuple[SceneSpec, NoiseModel]:
-    """Read a scene document from a JSON file."""
+    """Read a scene document from a JSON file. Brackets outside strings nested over
+    32 deep (a scene needs 3) are rejected before the parser, which recurses once
+    per nested array or object, runs."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:  # the parser recurses once per nested array or object
-            raise ValueError("scene document is nested too deeply to parse") from None
-    return scene_from_dict(doc)
+        text = fh.read()
+    depth = 0
+    for token in _JSON_TOKEN.findall(text):
+        depth += (token in ("[", "{")) - (token in ("]", "}"))
+        if depth > 32:
+            raise ValueError("scene document is nested too deeply to parse")
+    return scene_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -468,31 +477,30 @@ def window_selection_bound(
 # Monte Carlo harnesses
 # ---------------------------------------------------------------------------
 
-def _csv(header: str, rows) -> str:
-    """The header line, then one line per row: floats through fmt6, ints as is."""
-    lines = [header] + [",".join(fmt6(v) if isinstance(v, float) else str(v) for v in row)
-                        for row in rows]
+def _csv(rows) -> str:
+    """The rows' field names, then each row's fields: floats through fmt6, ints as is."""
+    lines = [",".join(f.name for f in fields(rows[0]))]
+    lines += [",".join(fmt6(v) if isinstance(v, float) else str(v) for v in astuple(row))
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
 class ConsistencyRow:
     phi0: int
+    trials: int
     median_abs_err: float
     q25_abs_err: float
     q75_abs_err: float
+    naive_median_abs_err: float
 
 
 @dataclass(frozen=True)
 class ConsistencyTable:
     rows: tuple[ConsistencyRow, ...]
-    naive_median_abs_err: float
-    trials: int
 
     def to_csv(self) -> str:
-        return _csv("phi0,trials,median_abs_err,q25_abs_err,q75_abs_err,naive_median_abs_err",
-                    [(r.phi0, self.trials, r.median_abs_err, r.q25_abs_err, r.q75_abs_err,
-                      self.naive_median_abs_err) for r in self.rows])
+        return _csv(self.rows)
 
 
 def _consistency_trial(spec, noise, phi0_grid, seed, buffers, table, trial):
@@ -578,11 +586,10 @@ def mc_consistency(
     errs = np.array([r[0] for r in results])  # (trials, len(grid))
     naive = np.array([r[1] for r in results])
     q25s, q75s = np.quantile(errs, (0.25, 0.75), axis=0)
-    rows = tuple(ConsistencyRow(phi0, float(med), float(q25), float(q75))
-                 for phi0, med, q25, q75 in zip(phi0_grid, np.median(errs, axis=0), q25s, q75s))
-    return ConsistencyTable(
-        rows=rows, naive_median_abs_err=float(np.median(naive)), trials=trials
-    )
+    naive_med = float(np.median(naive))
+    return ConsistencyTable(rows=tuple(
+        ConsistencyRow(phi0, trials, float(med), float(q25), float(q75), naive_med)
+        for phi0, med, q25, q75 in zip(phi0_grid, np.median(errs, axis=0), q25s, q75s)))
 
 
 @dataclass(frozen=True)
@@ -596,10 +603,7 @@ class DetectionStats:
     mean_false_clusters: float
 
     def to_csv(self) -> str:
-        return _csv("trials,n_particles,all_detected_fraction,any_false_fraction,"
-                    "mean_false_clusters",
-                    [(self.trials, self.n_particles, self.all_detected_fraction,
-                      self.any_false_fraction, self.mean_false_clusters)])
+        return _csv([self])
 
 
 def _detection_trial(spec, noise, params, theta, pure_noise, seed, buffers, trial):
@@ -664,9 +668,7 @@ class PhaseTable:
     rows: tuple[PhaseRow, ...]
 
     def to_csv(self) -> str:
-        return _csv("p,trial,largest_cluster,largest_fraction,n_clusters",
-                    [(r.p, r.trial, r.largest_cluster, r.largest_fraction, r.n_clusters)
-                     for r in self.rows])
+        return _csv(self.rows)
 
 
 def _phase_trial(n, p_values, seed, trial):

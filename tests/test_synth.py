@@ -2,6 +2,7 @@
 Monte Carlo harnesses at quick desk scale."""
 
 import contextlib
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -380,6 +381,28 @@ class TestSceneJson:
         assert spec.truth.max() == 2
         assert noise == UniformNoise(0.15)
 
+    def test_nesting_past_32_is_rejected_before_parsing(self, tmp_path, monkeypatch):
+        parsed, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+        path = tmp_path / "scene.json"
+        path.write_text("[" * 33 + "]" * 33)
+        with pytest.raises(ValueError, match="^scene document is nested too deeply to parse$"):
+            load_scene(path)
+        assert parsed == []
+        # brackets inside strings do not count, nor after an unterminated quote
+        doc = dict(self.DOC, note="[" * 40 + '\\"' + "{" * 40)
+        for text, outcome in [("[" * 32 + "]" * 32, "must be a JSON object, got list"),
+                              ('"' + "[" * 40, "Unterminated string"),
+                              (json.dumps(doc), None)]:
+            path.write_text(text)
+            if outcome is None:
+                assert load_scene(path)[0].n == 96
+            else:
+                with pytest.raises(ValueError, match=outcome):
+                    load_scene(path)
+            assert parsed[-1] == text
+        assert len(parsed) == 3
+
     def test_auto_placed_noise_square_is_clear(self):
         spec, _ = scene_from_dict(self.DOC)
         r, c = spec.noise_square
@@ -610,14 +633,17 @@ class TestMcConsistency:
         table = mc_consistency(spec, UniformNoise(0.0), [8, 16, 32], trials=3, seed=0)
         for row in table.rows:
             assert row.median_abs_err == 0.0
-        assert table.naive_median_abs_err > 0.0  # particle bias never vanishes
+            assert row.naive_median_abs_err > 0.0  # particle bias never vanishes
+            assert row.trials == 3
 
     def test_naive_mean_dominated_by_scan(self):
         # particles cover ~39% of the frame, so the naive mean is far off
         boxes = ((40, 40, 40), (40, 90, 30), (90, 40, 30), (88, 80, 40))
         spec = simple_scene(n=128, phi0=32, boxes=boxes)
         table = mc_consistency(spec, UniformNoise(0.2), [32], trials=20, seed=1)
-        assert table.naive_median_abs_err > 10 * table.rows[0].median_abs_err
+        (row,) = table.rows
+        assert row.naive_median_abs_err > 10 * row.median_abs_err
+        assert row.trials == 20
 
     def test_error_decreases_with_window_side(self):
         spec = simple_scene(n=128, phi0=32, boxes=((70, 70, 30),))
@@ -657,7 +683,8 @@ class TestMcConsistency:
             assert row.median_abs_err == np.median(col)
             assert row.q25_abs_err == np.quantile(col, 0.25)
             assert row.q75_abs_err == np.quantile(col, 0.75)
-        assert table.naive_median_abs_err == np.median(np.abs(np.array(naives) - spec.a))
+            assert row.naive_median_abs_err == np.median(np.abs(np.array(naives) - spec.a))
+            assert row.trials == trials
 
     def test_trials_share_one_frame_and_one_table(self, monkeypatch):
         frames, tables, images, alive = [], [], [], []
@@ -1018,3 +1045,14 @@ class TestPercolationPhase:
         lines = table.to_csv().strip().splitlines()
         assert lines[0] == "p,trial,largest_cluster,largest_fraction,n_clusters"
         assert len(lines) == 3
+
+
+def test_each_csv_header_is_its_row_fields_in_order():
+    spec, noise = simple_scene(), UniformNoise(0.1)
+    params = TestMcDetection.PARAMS
+    tables = ((mc_consistency(spec, noise, [8, 16], trials=2, seed=0), synth.ConsistencyRow),
+              (mc_detection(spec, noise, params, trials=2, seed=0), DetectionStats),
+              (percolation_phase(16, [0.5], trials=2, seed=0), synth.PhaseRow))
+    for table, row_type in tables:
+        header = table.to_csv().splitlines()[0]
+        assert header.split(",") == [f.name for f in dataclasses.fields(row_type)]
